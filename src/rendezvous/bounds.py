@@ -14,6 +14,12 @@ Two bound families are computed, both exact rationals:
   dynamic program and has no closed form; ``bound_f`` takes the best
   splitting point h.
 
+Each recurrence has one implementation and one per-n cache: the lift DP
+is a single numpy grid over (h, k), computed for all p at once per row and
+kept per n (``_lift_grid``); the B recursion is one table per (n, variant)
+grown on demand (``_b_table``).  Every B, lift and F value reads from
+these two, so a table over many k costs one DP, not one per cell.
+
 The escape count ``a``: for a matrix with all row/column weights <= k and a
 column c of weight exactly k, count the columns whose support is not inside
 supp(column c); minimizing over c gives ``evaluate_escape``.  The sharp
@@ -29,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -242,13 +247,16 @@ def _b_increment(n: int, target: int, ceil_variant: bool) -> Fraction:
     return Fraction(n * n, 2)
 
 
-@lru_cache(maxsize=512)
-def _b_table(n: int, k_max: int, ceil_variant: bool) -> tuple[Fraction, ...]:
-    """Cumulative bound values for k in [2, k_max], index k-2."""
-    values = [Fraction(1)]
-    for target in range(3, k_max + 1):
-        values.append(values[-1] + _b_increment(n, target, ceil_variant))
-    return tuple(values)
+_B_TABLES: dict[tuple[int, bool], list[Fraction]] = {}
+
+
+def _b_table(n: int, k_max: int, ceil_variant: bool) -> list[Fraction]:
+    """Cumulative bound values for k in [2, k_max] and possibly beyond,
+    index k-2; one table per (n, variant), grown on demand."""
+    values = _B_TABLES.setdefault((n, ceil_variant), [Fraction(1)])
+    while len(values) < k_max - 1:
+        values.append(values[-1] + _b_increment(n, len(values) + 2, ceil_variant))
+    return values
 
 
 def bound_b_recursive(n: int, k: int, ceil_variant: bool = False) -> Fraction:
@@ -280,28 +288,39 @@ def bound_b_closed(n: int, k: int) -> Fraction:
     return bound_b_closed(n, anchor) + Fraction((k - anchor) * n * n, 2)
 
 
-@lru_cache(maxsize=4096)
-def _lift_table(n: int, k: int) -> tuple[int, ...]:
-    """Doubled lift-cost values for h in [2, k], index h-2.
+_LIFT_GRIDS: dict[int, np.ndarray] = {}
+
+
+def _lift_grid(n: int, k_max: int) -> np.ndarray:
+    """Doubled lift costs: entry [h, k] is twice ``lift_bound(n, k, h)`` for
+    all 2 <= h, k <= k_max (zero once h >= k).
 
     Entry h solves max over p in [1, min(h, n-h)] of the better of two
     routes: merge p extra support elements at once and pay at most
     n(n-1)/2, or gain one weight level at the refined escape rate and pay
-    n(n+1-a)/2.  Values are stored doubled so the table stays integral.
+    n(n+1-a)/2.  Doubling keeps the table integral.  Rows are filled from
+    h = k_max-1 down, each one numpy pass over all k and p; references to
+    h+p > k_max clamp to the all-zero last row.  Column k does not depend
+    on k_max, so one grid per n is cached (read-only) and serves every
+    smaller k_max; a larger request rebuilds it.
     """
-    doubled = [0] * (k + 1)  # index by h; h >= k stays 0
+    grid = _LIFT_GRIDS.get(n)
+    if grid is not None and grid.shape[1] > k_max:
+        return grid
+    size = k_max + 2
+    grid = np.zeros((size, k_max + 1), dtype=np.int64)
     e2 = n * (n - 1)
-    for h in range(k - 1, 1, -1):
-        best = 0
-        for p in range(1, min(h, n - h) + 1):
-            ahat = escape_lower_refined(n, h, p)
-            via_jump = (doubled[h + p] if h + p <= k else 0) + e2
-            via_step = doubled[h + 1] + n * (n + 1 - ahat)
-            cand = min(via_jump, via_step)
-            if cand > best:
-                best = cand
-        doubled[h] = best
-    return tuple(doubled[2 : k + 1])
+    for h in range(k_max - 1, 1, -1):
+        p = np.arange(1, min(h, n - h) + 1)
+        ahat = np.maximum(max(n - h * (h - 1) - 1, 1), _ceildiv(n - h, p))
+        via_jump = grid[np.minimum(h + p, size - 1)] + e2
+        via_step = grid[h + 1] + (n * (n + 1 - ahat))[:, None]
+        row = np.minimum(via_jump, via_step).max(axis=0)
+        row[: h + 1] = 0
+        grid[h] = row
+    grid.flags.writeable = False
+    _LIFT_GRIDS[n] = grid
+    return grid
 
 
 def lift_bound(n: int, k: int, h: int) -> Fraction:
@@ -312,74 +331,32 @@ def lift_bound(n: int, k: int, h: int) -> Fraction:
     _validate_bound_args(n, k)
     if h >= k:
         return Fraction(0)
-    return Fraction(_lift_table(n, k)[h - 2], 2)
-
-
-@lru_cache(maxsize=64)
-def _lift_grid(n: int, k_max: int) -> np.ndarray:
-    """Doubled lift costs for all h, k in [2, k_max] at once.
-
-    Same recurrence as ``_lift_table`` but vectorized over k, so the whole
-    triangular table costs one numpy pass per (h, p).  Row h' holds zeros
-    for every k <= h'; rows beyond k_max are never positive, so references
-    to h+p > k_max clamp to an all-zero row.
-    """
-    size = k_max + 2
-    grid = np.zeros((size, k_max + 1), dtype=np.int64)
-    e2 = n * (n - 1)
-    for h in range(k_max - 1, 1, -1):
-        acc = None
-        row_step = grid[h + 1]
-        for p in range(1, min(h, n - h) + 1):
-            ahat = escape_lower_refined(n, h, p)
-            row_jump = grid[min(h + p, size - 1)]
-            cand = np.minimum(row_jump + e2, row_step + n * (n + 1 - ahat))
-            acc = cand if acc is None else np.maximum(acc, cand)
-        acc[: h + 1] = 0
-        grid[h] = acc
-    return grid
+    return Fraction(int(_lift_grid(n, k)[h, k]), 2)
 
 
 def bound_f(n: int, k: int) -> tuple[Fraction, int]:
     """Best split of the growth bound: min over h of bound_b(n, h) plus the
     lift cost from h to k.  Returns (value, achieving h); ties go to the
     smallest h.  Never exceeds bound_b_recursive(n, k)."""
-    _validate_bound_args(n, k)
-    table = _lift_table(n, k)
-    best: Fraction | None = None
-    arg = 2
-    for h in range(2, k + 1):
-        lift = Fraction(table[h - 2], 2) if h < k else Fraction(0)
-        cand = bound_b_recursive(n, h) + lift
-        if best is None or cand < best:
-            best = cand
-            arg = h
-    return best, arg
+    return bound_f_table(n, k)[k]
 
 
 def bound_f_table(n: int, k_max: int) -> dict[int, tuple[Fraction, int]]:
-    """``bound_f`` for every k in [2, k_max] sharing one lift grid.
+    """``bound_f`` for every k in [2, k_max] from one lift grid and one B table.
 
     The min over h runs in integers over a common denominator, so large
-    tables avoid per-step rational normalization; results are identical to
-    per-cell ``bound_f``.
+    tables avoid per-step rational normalization.
     """
     _validate_bound_args(n, k_max)
-    grid = _lift_grid(n, k_max)
-    b_values = _b_table(n, k_max, False)
+    lifts = _lift_grid(n, k_max)[: k_max + 1, : k_max + 1].T.tolist()  # [k][h]
+    b_values = _b_table(n, k_max, False)[: k_max - 1]
     denom = 2 * math.lcm(*(b.denominator for b in b_values))
     half_denom = denom // 2
     base = [int(b * denom) for b in b_values]
     out: dict[int, tuple[Fraction, int]] = {}
     for k in range(2, k_max + 1):
-        col = grid[:, k]
-        best = base[0] + int(col[2]) * half_denom
-        arg = 2
-        for h in range(3, k + 1):
-            term = base[h - 2] + int(col[h]) * half_denom
-            if term < best:
-                best = term
-                arg = h
+        col = lifts[k]
+        best, arg = min((base[h - 2] + col[h] * half_denom, h) for h in range(2, k + 1))
         out[k] = (Fraction(best, denom), arg)
     return out
 

@@ -150,12 +150,18 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _not_found(result) -> str:
+    """Why a search result lacks an entry: the limit that cut it short, or
+    an exhausted semigroup."""
+    reason = result.limit or "semigroup exhausted"
+    return f"not-found ({reason}; explored={result.explored}, depth={result.depth_reached})"
+
+
 def _cmd_exponent(args) -> int:
     mset = _load_set(args)
     result = explore(mset, max_depth=args.max_depth, max_states=args.max_states)
     if result.exponent is None:
-        reason = result.limit or "semigroup exhausted"
-        print(f"not-found ({reason}; explored={result.explored}, depth={result.depth_reached})")
+        print(_not_found(result))
     else:
         print(result.exponent.length)
     return 0
@@ -176,12 +182,12 @@ def _cmd_krt(args) -> int:
     for k in ks:
         entry = result.krt.get(k)
         if entry is None:
-            print(f"k={k} rt=not-found")
+            print(f"k={k} rt={_not_found(result)}")
         else:
             print(f"k={k} rt={entry.length} word={_word_labels(mset, entry.word)}")
     if args.k is None:
         if result.exponent is None:
-            print("exponent=not-found")
+            print(f"exponent={_not_found(result)}")
         else:
             print(
                 f"exponent={result.exponent.length} "
@@ -248,10 +254,15 @@ def _cmd_automata(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.k is not None and args.k_max is not None:
         raise ValueError("give either --k or --k-max, not both")
+    if args.n < 2:
+        raise ValueError(f"need --n >= 2, got {args.n}")
     if args.k is not None:
         ks = [args.k]
     else:
-        ks = list(range(2, (args.k_max or args.n) + 1))
+        k_max = args.n if args.k_max is None else args.k_max
+        if k_max < 2:
+            raise ValueError(f"need --k-max >= 2, got {k_max}")
+        ks = list(range(2, k_max + 1))
     print(
         tables.to_csv(tables.LONG_HEADER, tables.bounds_rows(args.n, ks, args.ceil_variant)),
         end="",

@@ -77,7 +77,6 @@ def explore(
     mset: MatrixSet,
     max_depth: int | None = None,
     max_states: int = DEFAULT_MAX_STATES,
-    deduplicate: bool = True,
     stop_after_profile: bool = False,
 ) -> SearchResult:
     """Exhaustive level-order search of the generated semigroup.
@@ -146,10 +145,9 @@ def explore(
     frontier: list[int] = []
     states_exceeded = False
     for g_idx, g in enumerate(mset.generators):
-        if deduplicate:
-            if g.rows in seen:
-                continue
-            seen[g.rows] = len(keys)
+        if g.rows in seen:
+            continue
+        seen[g.rows] = len(keys)
         keys.append(g.rows)
         parents.append(-1)
         genidx.append(g_idx)
@@ -193,11 +191,10 @@ def explore(
             mat_rows = keys[idx]
             for g_idx in range(mset.m):
                 key = tuple(image(g_idx, row) for row in mat_rows)
-                if deduplicate and key in seen:
+                if key in seen:
                     continue
                 node = len(keys)
-                if deduplicate:
-                    seen[key] = node
+                seen[key] = node
                 keys.append(key)
                 parents.append(idx)
                 genidx.append(g_idx)

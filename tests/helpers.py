@@ -8,8 +8,9 @@ an independent route, not against itself.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
-from rendezvous import BoolMatrix, MatrixSet, is_primitive
+from rendezvous import BoolMatrix, MatrixSet, bound_b_closed, is_primitive
 from rendezvous.automata import Automaton
 
 
@@ -64,28 +65,29 @@ def as_lists(mat: BoolMatrix) -> list[list[int]]:
     return [[mat.entry(i, j) for j in range(mat.n)] for i in range(mat.n)]
 
 
+def row_tuple_product(rows: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Boolean product of two matrices given as bit-row tuples: row i is the
+    OR of g's rows over the support of rows[i]."""
+    out = []
+    for mask in rows:
+        acc = 0
+        for s in range(len(g)):
+            if (mask >> s) & 1:
+                acc |= g[s]
+        out.append(acc)
+    return tuple(out)
+
+
 def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> set[tuple[int, ...]]:
     """Full forward closure of the generated semigroup, as row-tuple keys."""
     gens = [g.rows for g in mset.generators]
-    n = mset.n
-
-    def mult(rows: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for mask in rows:
-            acc = 0
-            for s in range(n):
-                if (mask >> s) & 1:
-                    acc |= g[s]
-            out.append(acc)
-        return tuple(out)
-
     seen = set(gens)
     frontier = list(dict.fromkeys(gens))
     while frontier:
         nxt = []
         for rows in frontier:
             for g in gens:
-                child = mult(rows, g)
+                child = row_tuple_product(rows, g)
                 if child not in seen:
                     seen.add(child)
                     nxt.append(child)
@@ -93,6 +95,69 @@ def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> set[tuple[int, ...
                         raise RuntimeError("closure cap exceeded")
         frontier = nxt
     return seen
+
+
+def undeduplicated_profile(
+    mset: MatrixSet, max_depth: int
+) -> tuple[dict[int, int], int | None]:
+    """(rt_k for every k reached, exponent or None) over products of length
+    at most ``max_depth``, expanding every word, equal products included.
+
+    Products are plain row-tuple products and weights are counted entry by
+    entry, so nothing is shared with the deduplicated production search.
+    """
+    n = mset.n
+    gens = [g.rows for g in mset.generators]
+    full = tuple((1 << n) - 1 for _ in range(n))
+
+    def max_weight(rows: tuple[int, ...]) -> int:
+        entries = [[(rows[i] >> j) & 1 for j in range(n)] for i in range(n)]
+        row_weights = [sum(row) for row in entries]
+        col_weights = [sum(entries[i][j] for i in range(n)) for j in range(n)]
+        return max(row_weights + col_weights)
+
+    profile: dict[int, int] = {}
+    level = list(gens)
+    for depth in range(1, max_depth + 1):
+        for rows in level:
+            for k in range(2, max_weight(rows) + 1):
+                profile.setdefault(k, depth)
+        if full in level:
+            return profile, depth
+        level = [row_tuple_product(rows, g) for rows in level for g in gens]
+    return profile, None
+
+
+def lift_table_oracle(n: int, k: int) -> list[int]:
+    """Doubled lift costs for h in [2, k], index h-2, by the scalar DP.
+
+    Entry h is the max over p in [1, min(h, n-h)] of the cheaper route:
+    jump to weight h+p at cost n(n-1)/2, or step to h+1 at cost
+    n(n+1-a)/2 with a = max{n-h(h-1)-1, ceil((n-h)/p), 1}.  Weights at or
+    above k cost nothing.
+    """
+    doubled = [0] * (k + 1)  # index by h; h >= k stays 0
+    for h in range(k - 1, 1, -1):
+        best = 0
+        for p in range(1, min(h, n - h) + 1):
+            a = max(n - h * (h - 1) - 1, -(-(n - h) // p), 1)
+            via_jump = (doubled[h + p] if h + p <= k else 0) + n * (n - 1)
+            via_step = doubled[h + 1] + n * (n + 1 - a)
+            best = max(best, min(via_jump, via_step))
+        doubled[h] = best
+    return doubled[2:]
+
+
+def bound_f_oracle(n: int, k: int) -> tuple[Fraction, int]:
+    """min over h of B_h(n) (closed form) + lift(n, k, h) (scalar DP) in
+    Fractions, with its smallest achieving h."""
+    lifts = lift_table_oracle(n, k)
+    best, arg = None, None
+    for h in range(2, k + 1):
+        cand = bound_b_closed(n, h) + Fraction(lifts[h - 2], 2)
+        if best is None or cand < best:
+            best, arg = cand, h
+    return best, arg
 
 
 def brute_force_primitive(mset: MatrixSet, cap: int = 500_000) -> bool:

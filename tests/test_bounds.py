@@ -19,7 +19,8 @@ from rendezvous import (
     scan_conjectures,
     szykula_bound,
 )
-from rendezvous.bounds import _lift_grid
+from rendezvous.bounds import _LIFT_GRIDS, _lift_grid
+from helpers import bound_f_oracle, lift_table_oracle
 
 # Matrices from the worked escape-count example at n=4, k=2.
 ESCAPE_A = BoolMatrix.from_rows(
@@ -249,8 +250,20 @@ class TestLiftBound:
             n = rng.randint(3, 60)
             k = rng.randint(2, n)
             grid = _lift_grid(n, k)
+            oracle = lift_table_oracle(n, k)
             for h in range(2, k + 1):
-                assert Fraction(int(grid[h][k]), 2) == lift_bound(n, k, h)
+                assert int(grid[h][k]) == oracle[h - 2], (n, k, h)
+                assert lift_bound(n, k, h) == Fraction(oracle[h - 2], 2), (n, k, h)
+
+    def test_grid_column_independent_of_k_max(self):
+        n = 37
+        for first, second in ((30, 12), (12, 30)):
+            _LIFT_GRIDS.pop(n, None)
+            a = _lift_grid(n, first).copy()
+            b = _lift_grid(n, second)
+            for k in range(2, min(first, second) + 1):
+                assert (a[: k + 1, k] == b[: k + 1, k]).all(), (first, second, k)
+                assert a[: k + 1, k].tolist() == [0, 0] + lift_table_oracle(n, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -281,7 +294,7 @@ class TestBoundF:
             n = rng.randint(2, 80)
             table = bound_f_table(n, min(n, 25))
             k = rng.randint(2, min(n, 25))
-            assert table[k] == bound_f(n, k)
+            assert table[k] == bound_f(n, k) == bound_f_oracle(n, k), (n, k)
 
 
 class TestSzykula:

@@ -64,6 +64,21 @@ class TestScalarCommands:
         assert "k=3 rt=2" in out
         assert "exponent=7" in out
 
+    def test_krt_states_limit_named(self, capsys):
+        code, out, _ = run(capsys, "krt", "--builtin", "example", "--max-states", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "k=2 rt=1 word=b"
+        assert lines[1] == "k=3 rt=not-found (states; explored=3, depth=2)"
+        assert lines[2] == "exponent=not-found (states; explored=3, depth=2)"
+
+    def test_krt_single_k_depth_limit_named(self, capsys):
+        code, out, _ = run(
+            capsys, "krt", "--builtin", "example", "--k", "3", "--max-depth", "1"
+        )
+        assert code == 0
+        assert out == "k=3 rt=not-found (depth; explored=2, depth=1)\n"
+
     def test_witness_verifies(self, capsys):
         code, out, _ = run(capsys, "witness", "--n", "10", "--k", "3")
         assert code == 0
@@ -144,6 +159,19 @@ class TestBoundsCommand:
         code, out, _ = run(capsys, "bounds", "--n", "10", "--k", "4", "--ceil-variant")
         assert code == 0
         assert "B_ceil" in out
+
+    def test_dimension_below_two_rejected(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "domain: need --n >= 2, got 1\n"
+
+    def test_empty_k_range_rejected(self, capsys):
+        for k_max in ("1", "0"):
+            code, out, err = run(capsys, "bounds", "--n", "10", "--k-max", k_max)
+            assert code == 1
+            assert out == ""
+            assert err == f"domain: need --k-max >= 2, got {k_max}\n"
 
 
 class TestFigures:

@@ -14,7 +14,7 @@ from rendezvous import (
     kari_set,
     witness_replay,
 )
-from helpers import random_nz_set, random_primitive_set
+from helpers import random_nz_set, random_primitive_set, undeduplicated_profile
 
 
 def profile_lengths(result):
@@ -93,11 +93,9 @@ class TestExplore:
         for _ in range(30):
             mset = random_nz_set(rng, rng.randint(2, 4), rng.randint(1, 3))
             fast = explore(mset, max_depth=4)
-            slow = explore(mset, max_depth=4, deduplicate=False, max_states=10**6)
-            assert profile_lengths(fast) == profile_lengths(slow)
-            exp_fast = fast.exponent.length if fast.exponent else None
-            exp_slow = slow.exponent.length if slow.exponent else None
-            assert exp_fast == exp_slow
+            profile, exponent = undeduplicated_profile(mset, max_depth=4)
+            assert profile_lengths(fast) == profile
+            assert (fast.exponent.length if fast.exponent else None) == exponent
 
     def test_default_depth_covers_sandwich(self):
         assert default_max_depth(3) == 11
