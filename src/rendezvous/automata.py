@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .boolmat import BoolMatrix, MatrixSet, bits
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
 from .pairgraph import check_primitivity
-from .semigroup import Reach, SearchResult, explore
+from .semigroup import Reach, SearchResult, explore, note_first_reach
 
 DEFAULT_LETTER_CAP = 4096
 
@@ -120,7 +120,7 @@ def subset_bfs(aut: Automaton) -> SubsetBfsResult:
     Level d holds the preimage sets of single states under words of length
     d; a subset of size >= k at level d means some word of length d maps k
     states onto one.  Words are reported in application order (leftmost
-    letter applied first).
+    letter applied first).  A 1-state automaton is reset by the empty word.
     """
     n = aut.n
     delta = aut.delta()
@@ -139,7 +139,9 @@ def subset_bfs(aut: Automaton) -> SubsetBfsResult:
             idx = parents[idx]
         return tuple(out)
 
-    best_k = 1
+    if n == 1:
+        result.synchronizing = True
+        result.reset = Reach(0, ())
     queue: deque[int] = deque()
     for q in range(n):
         mask = 1 << q
@@ -170,12 +172,7 @@ def subset_bfs(aut: Automaton) -> SubsetBfsResult:
             parents.append(idx)
             letter_used.append(a)
             node = len(masks) - 1
-            size = pre.bit_count()
-            if size > best_k:
-                word = word_of(node)
-                for k in range(max(2, best_k + 1), size + 1):
-                    result.krt[k] = Reach(d, word)
-                best_k = size
+            note_first_reach(result.krt, pre.bit_count(), lambda: Reach(d, word_of(node)))
             if pre == full:
                 result.synchronizing = True
                 result.reset = Reach(d, word_of(node))
@@ -222,7 +219,13 @@ def verify_sandwich(
     max_depth: int | None = None,
     max_states: int | None = None,
 ) -> SandwichReport:
-    """Check rt(Aut) <= exponent <= rt(Aut) + rt(Aut^T) + n - 1 on a primitive set."""
+    """Check rt(Aut) <= exponent <= rt(Aut) + rt(Aut^T) + n - 1 on a primitive set.
+
+    Needs n >= 2: at n = 1 the empty word resets both automata, so the upper
+    end is 0 while every product, the exponent included, has length >= 1.
+    """
+    if mset.n < 2:
+        raise ValueError(f"the sandwich needs n >= 2, got n={mset.n}")
     report = check_primitivity(mset)
     if not report.primitive:
         raise NotPrimitiveError(report.describe(), report)
@@ -230,12 +233,7 @@ def verify_sandwich(
     aut_t = associated_automaton(mset.transposed(), cap)
     rt = subset_bfs(aut).reset_threshold
     rt_t = subset_bfs(aut_t).reset_threshold
-    kwargs = {}
-    if max_depth is not None:
-        kwargs["max_depth"] = max_depth
-    if max_states is not None:
-        kwargs["max_states"] = max_states
-    exp = _require_exponent(explore(mset, **kwargs))
+    exp = _require_exponent(explore(mset, max_depth, max_states))
     upper = rt + rt_t + mset.n - 1
     return SandwichReport(
         n=mset.n,
@@ -275,12 +273,7 @@ def verify_krt_equality(
     report = check_primitivity(mset)
     if not report.primitive:
         raise NotPrimitiveError(report.describe(), report)
-    kwargs = {}
-    if max_depth is not None:
-        kwargs["max_depth"] = max_depth
-    if max_states is not None:
-        kwargs["max_states"] = max_states
-    res = explore(mset, **kwargs)
+    res = explore(mset, max_depth, max_states)
     rt_set = res.krt_length(k)
     if rt_set is None:
         raise SearchLimitError(f"rt_{k} not found within limits (limit={res.limit})")

@@ -3,7 +3,9 @@
 Addition is logical OR, multiplication is logical AND.  A matrix is stored
 as one Python int per row, with bit ``j`` of ``rows[i]`` holding entry
 ``(i, j)``.  Row-level operations (products, supports, weights) are then
-word-parallel bit operations; columns are materialized on demand.
+word-parallel bit operations.  Whole-matrix column data (weights, supports,
+backward reachability) comes from one ``transpose()``; ``col(j)`` reads a
+single column.  ``max_weight`` is the one max row/column weight kernel.
 
 All values here are immutable after construction, so they can be shared
 freely between threads and reused as dict keys.
@@ -23,6 +25,19 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def max_weight(n: int, rows: tuple[int, ...]) -> int:
+    """Largest row or column weight of the n x n matrix with bit rows ``rows``."""
+    best = max(row.bit_count() for row in rows)
+    counts = [0] * n
+    for row in rows:
+        mask = row
+        while mask:
+            low = mask & -mask
+            counts[low.bit_length() - 1] += 1
+            mask ^= low
+    return max(best, max(counts))
 
 
 @dataclass(frozen=True)
@@ -150,7 +165,7 @@ class BoolMatrix:
 
     def weight_profile(self) -> WeightProfile:
         per_row = tuple(row.bit_count() for row in self.rows)
-        per_col = tuple(self.col(j).bit_count() for j in range(self.n))
+        per_col = tuple(col.bit_count() for col in self.transpose().rows)
         max_row = max(per_row)
         max_col = max(per_col)
         return WeightProfile(
@@ -176,11 +191,8 @@ def _toggle_prime(label: str) -> str:
     return label[:-1] if label.endswith("'") else label + "'"
 
 
-def _unreachable_pair(n: int, rows: tuple[int, ...]) -> tuple[int, int] | None:
-    """Pair (i, j) with no directed path i -> j in the bit-row digraph, if any."""
-    if n == 1:
-        return None
-    # Forward reachability from 0, then backward; strong connectivity needs both.
+def _reach_from_zero(rows: tuple[int, ...]) -> int:
+    """Bitmask of the vertices reachable from vertex 0 in the bit-row digraph."""
     reach = 1
     frontier = [0]
     while frontier:
@@ -190,24 +202,19 @@ def _unreachable_pair(n: int, rows: tuple[int, ...]) -> tuple[int, int] | None:
             reach |= new
             nxt.extend(bits(new))
         frontier = nxt
+    return reach
+
+
+def _unreachable_pair(n: int, rows: tuple[int, ...]) -> tuple[int, int] | None:
+    """Pair (i, j) with no directed path i -> j in the bit-row digraph, if any."""
+    # Strong connectivity: everything reachable from 0, forward and backward.
     full = (1 << n) - 1
-    if reach != full:
-        return (0, next(bits(full & ~reach)))
-    back = [0] * n
-    for i in range(n):
-        for j in bits(rows[i]):
-            back[j] |= 1 << i
-    reach = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            new = back[v] & ~reach
-            reach |= new
-            nxt.extend(bits(new))
-        frontier = nxt
-    if reach != full:
-        return (next(bits(full & ~reach)), 0)
+    missing = full & ~_reach_from_zero(rows)
+    if missing:
+        return (0, next(bits(missing)))
+    missing = full & ~_reach_from_zero(BoolMatrix(n, rows).transpose().rows)
+    if missing:
+        return (next(bits(missing)), 0)
     return None
 
 

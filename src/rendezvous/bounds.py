@@ -169,21 +169,14 @@ def evaluate_escape(mat: BoolMatrix, k: int) -> EscapeEvaluation:
     defect = mat.nz_defect()
     if defect is not None:
         return EscapeEvaluation(member=False, reason=f"zero {defect[0]} {defect[1]}")
-    profile = mat.weight_profile()
-    for i, w in enumerate(profile.per_row):
-        if w > k:
-            return EscapeEvaluation(
-                member=False, reason=f"row {i} has weight {w} > {k}"
-            )
-    for j, w in enumerate(profile.per_column):
-        if w > k:
-            return EscapeEvaluation(
-                member=False, reason=f"column {j} has weight {w} > {k}"
-            )
-    weight_k = tuple(j for j, w in enumerate(profile.per_column) if w == k)
+    cols = mat.transpose().rows
+    for kind, lines in (("row", mat.rows), ("column", cols)):
+        for i, line in enumerate(lines):
+            if (w := line.bit_count()) > k:
+                return EscapeEvaluation(member=False, reason=f"{kind} {i} has weight {w} > {k}")
+    weight_k = tuple(j for j, col in enumerate(cols) if col.bit_count() == k)
     if not weight_k:
         return EscapeEvaluation(member=False, reason=f"no column of weight {k}")
-    cols = [mat.col(j) for j in range(n)]
 
     def escape_count(c: int) -> int:
         return sum(1 for i in range(n) if cols[i] & ~cols[c])
@@ -334,31 +327,38 @@ def lift_bound(n: int, k: int, h: int) -> Fraction:
     return Fraction(int(_lift_grid(n, k)[h, k]), 2)
 
 
+def _scaled_b(n: int, k_max: int) -> tuple[list[int], int]:
+    """B(n, h) for h in [2, k_max] (index h-2) as integers over one even
+    common denominator, returned with it, so a min over h avoids per-step
+    rational normalization."""
+    b_values = _b_table(n, k_max, False)[: k_max - 1]
+    denom = 2 * math.lcm(*(b.denominator for b in b_values))
+    return [int(b * denom) for b in b_values], denom
+
+
+def _f_min(scaled_b: list[int], denom: int, lifts: list[int], k: int) -> tuple[Fraction, int]:
+    """min over h in [2, k] of B(n, h) + lift(n, k, h), smallest h on ties;
+    ``lifts[h]`` is the doubled lift cost from column k of the grid."""
+    half = denom // 2
+    best, arg = min((scaled_b[h - 2] + lifts[h] * half, h) for h in range(2, k + 1))
+    return Fraction(best, denom), arg
+
+
 def bound_f(n: int, k: int) -> tuple[Fraction, int]:
     """Best split of the growth bound: min over h of bound_b(n, h) plus the
     lift cost from h to k.  Returns (value, achieving h); ties go to the
     smallest h.  Never exceeds bound_b_recursive(n, k)."""
-    return bound_f_table(n, k)[k]
+    _validate_bound_args(n, k)
+    scaled_b, denom = _scaled_b(n, k)
+    return _f_min(scaled_b, denom, _lift_grid(n, k)[: k + 1, k].tolist(), k)
 
 
 def bound_f_table(n: int, k_max: int) -> dict[int, tuple[Fraction, int]]:
-    """``bound_f`` for every k in [2, k_max] from one lift grid and one B table.
-
-    The min over h runs in integers over a common denominator, so large
-    tables avoid per-step rational normalization.
-    """
+    """``bound_f`` for every k in [2, k_max] from one lift grid and one B table."""
     _validate_bound_args(n, k_max)
     lifts = _lift_grid(n, k_max)[: k_max + 1, : k_max + 1].T.tolist()  # [k][h]
-    b_values = _b_table(n, k_max, False)[: k_max - 1]
-    denom = 2 * math.lcm(*(b.denominator for b in b_values))
-    half_denom = denom // 2
-    base = [int(b * denom) for b in b_values]
-    out: dict[int, tuple[Fraction, int]] = {}
-    for k in range(2, k_max + 1):
-        col = lifts[k]
-        best, arg = min((base[h - 2] + col[h] * half_denom, h) for h in range(2, k + 1))
-        out[k] = (Fraction(best, denom), arg)
-    return out
+    scaled_b, denom = _scaled_b(n, k_max)
+    return {k: _f_min(scaled_b, denom, lifts[k], k) for k in range(2, k_max + 1)}
 
 
 def szykula_bound(n: int) -> Fraction:

@@ -23,7 +23,7 @@ from .builtins import BUILTIN_NAMES, builtin_set
 from .errors import WorkbenchError
 from .heuristic import run_heuristic
 from .pairgraph import check_primitivity
-from .semigroup import DEFAULT_MAX_STATES, explore
+from .semigroup import explore
 from .setfile import parse_set_file
 
 FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
@@ -42,9 +42,7 @@ def _add_set_source(parser: argparse.ArgumentParser) -> None:
 
 def _add_limits(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-depth", type=int, default=None, help="BFS depth limit")
-    parser.add_argument(
-        "--max-states", type=int, default=DEFAULT_MAX_STATES, help="BFS state limit"
-    )
+    parser.add_argument("--max-states", type=int, default=None, help="BFS state limit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,6 +118,17 @@ def _load_set(args, allow_multi: bool = False) -> MatrixSet | list[MatrixSet]:
             raise ValueError("only figure fig4 accepts multiple --file arguments")
         return sets[0]
     return builtin_set(name or "example")
+
+
+def _flag(args, name: str, default: int | None = None, minimum: int = 1) -> int | None:
+    """Value of the integer flag ``name``, or ``default`` when it is not given;
+    a value below ``minimum`` is a domain error naming the flag."""
+    value = getattr(args, name, None)
+    if value is None:
+        return default
+    if value < minimum:
+        raise ValueError(f"need --{name.replace('_', '-')} >= {minimum}, got {value}")
+    return value
 
 
 def _word_labels(mset_or_labels, word) -> str:
@@ -254,17 +263,13 @@ def _cmd_automata(args) -> int:
 def _cmd_bounds(args) -> int:
     if args.k is not None and args.k_max is not None:
         raise ValueError("give either --k or --k-max, not both")
-    if args.n < 2:
-        raise ValueError(f"need --n >= 2, got {args.n}")
+    n = _flag(args, "n", minimum=2)
     if args.k is not None:
         ks = [args.k]
     else:
-        k_max = args.n if args.k_max is None else args.k_max
-        if k_max < 2:
-            raise ValueError(f"need --k-max >= 2, got {k_max}")
-        ks = list(range(2, k_max + 1))
+        ks = list(range(2, _flag(args, "k_max", n, 2) + 1))
     print(
-        tables.to_csv(tables.LONG_HEADER, tables.bounds_rows(args.n, ks, args.ceil_variant)),
+        tables.to_csv(tables.LONG_HEADER, tables.bounds_rows(n, ks, args.ceil_variant)),
         end="",
     )
     return 0
@@ -308,11 +313,12 @@ def _cmd_heuristic(args) -> int:
 def _cmd_scan(args) -> int:
     if args.k is not None and args.k_max is not None:
         raise ValueError("give either --k or --k-max, not both")
+    n_max = _flag(args, "n_max", minimum=2)
     if args.k is not None:
         ks = [args.k]
     else:
-        ks = list(range(2, (args.k_max or args.n_max) + 1))
-    rows = tables.scan_rows(range(2, args.n_max + 1), ks)
+        ks = list(range(2, _flag(args, "k_max", n_max, 2) + 1))
+    rows = tables.scan_rows(range(2, n_max + 1), ks)
     print(tables.to_csv(tables.LONG_HEADER, rows), end="")
     return 0
 
@@ -348,12 +354,14 @@ def _cmd_figure(args) -> int:
     elif name == "fig7":
         if args.k is None:
             raise ValueError("figure fig7 needs --k")
-        rows = tables.fixed_k_bound_rows(args.k, args.n_max or 200)
+        rows = tables.fixed_k_bound_rows(args.k, _flag(args, "n_max", 200, max(args.k, 2)))
     elif name == "fig8":
-        rows = tables.threshold_rows(7, args.k_max or 50, args.n_max or 300)
+        rows = tables.threshold_rows(
+            7, _flag(args, "k_max", 50, 7), _flag(args, "n_max", 300, 2)
+        )
     else:  # fig9
         header = tables.FIG9_HEADER
-        rows = tables.nrt_comparison_rows(args.n_max or 100)
+        rows = tables.nrt_comparison_rows(_flag(args, "n_max", 100, 2))
     print(tables.to_csv(header, rows), end="")
     return 0
 
@@ -381,6 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for limit in ("max_depth", "max_states", "letter_cap"):
+            _flag(args, limit)
         return _COMMANDS[args.command](args)
     except WorkbenchError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)

@@ -7,18 +7,19 @@ shortest merging path, and multiplies them in.  Each round strictly
 enlarges the grown column's support, so at most n - 1 rounds produce a
 product with an all-ones column.
 
-Prefix weight profiles (rows and columns both) are tracked letter by
-letter, giving an upper bound on the k-rendezvous time for every k at
-once.
+Prefix weights (rows and columns both) are tracked letter by letter until
+some line reaches weight n, giving an upper bound on the k-rendezvous time
+for every k at once.  Column supports come from one transpose per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, MatrixSet
+from .boolmat import BoolMatrix, MatrixSet, max_weight
 from .errors import NotPrimitiveError
-from .pairgraph import build_pair_digraph, check_primitivity, normalized, singleton_distances
+from .pairgraph import check_primitivity, normalized, singleton_distances
+from .semigroup import note_first_reach
 
 MODES = ("specific", "any")
 
@@ -55,67 +56,51 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
         raise NotPrimitiveError(report.describe(), report)
     n = mset.n
     full = (1 << n) - 1
-    pd = build_pair_digraph(mset)
+    gens = mset.generators
 
-    seed_idx = 0
-    seed_weight = -1
-    for g_idx, g in enumerate(mset.generators):
-        w = max(g.col(j).bit_count() for j in range(n))
-        if w > seed_weight:
-            seed_weight = w
-            seed_idx = g_idx
-    current = mset.generators[seed_idx]
-    col_weights = [current.col(j).bit_count() for j in range(n)]
-    grown = col_weights.index(max(col_weights))
+    # Seed: the generator holding the heaviest column, grown at that column.
+    seed_weights = [[c.bit_count() for c in g.transpose().rows] for g in gens]
+    seed_idx = max(range(mset.m), key=lambda g_idx: max(seed_weights[g_idx]))
+    grown = seed_weights[seed_idx].index(max(seed_weights[seed_idx]))
+    current = gens[seed_idx]
 
     word: list[int] = [seed_idx]
     per_k: dict[int, int] = {}
-    best_k = 1
 
     def note(mat: BoolMatrix) -> None:
-        nonlocal best_k
-        w = mat.weight_profile().max_weight
-        for k in range(max(2, best_k + 1), w + 1):
-            per_k[k] = len(word)
-        best_k = max(best_k, w)
+        if len(per_k) < n - 1:
+            note_first_reach(per_k, max_weight(n, mat.rows), lambda: len(word))
 
     note(current)
 
     if mode == "specific":
-        distances = singleton_distances(pd, target=(grown, grown))
+        distances = singleton_distances(report.pair_digraph, target=(grown, grown))
     else:
-        distances = singleton_distances(pd)
+        distances = singleton_distances(report.pair_digraph)
 
-    support = current.col(grown)
+    cols = current.transpose().rows
     iterations = 0
-    while support != full:
+    while cols[grown] != full:
         iterations += 1
-        best_j = None
-        best_d = None
-        for j in range(n):
-            if current.col(j) & ~support == 0:
-                continue
-            d = distances.dist.get(normalized(grown, j))
-            if d is None:
-                continue
-            if best_d is None or d < best_d:
-                best_d = d
-                best_j = j
-        # Primitivity guarantees every pair reaches every singleton.
-        assert best_j is not None, "no mergeable column found on a primitive set"
+        support = cols[grown]
+        # Primitivity guarantees every pair reaches every singleton, so some
+        # column escapes the support at a known distance; ties go to the lowest j.
+        _, best_j = min(
+            (distances.dist[normalized(grown, j)], j)
+            for j, col in enumerate(cols)
+            if col & ~support
+        )
         labels, endpoint = distances.path_from(normalized(grown, best_j))
         for g_idx in labels:
-            current = current @ mset.generators[g_idx]
+            current = current @ gens[g_idx]
             word.append(g_idx)
             note(current)
         if mode == "any":
             grown = endpoint[0]
-        previous = support
-        support = current.col(grown)
+        cols = current.transpose().rows
         # Merging paths absorb the escaping column, so growth is strict.
-        assert previous & ~support == 0 and support != previous
+        assert support & ~cols[grown] == 0 and cols[grown] != support
 
-    assert current.col(grown) == full
     return HeuristicTrace(
         word=tuple(word),
         final=current,

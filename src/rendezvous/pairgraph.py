@@ -12,7 +12,7 @@ into one column.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .boolmat import MatrixSet, bits
 from .errors import UnreachableVertexError
@@ -149,6 +149,8 @@ class PrimitivityReport:
     unmergeable_pair: Vertex | None = None
     # states (i, j) with no path i -> j in the union digraph (when reducible)
     reducibility_witness: tuple[int, int] | None = None
+    # the pair digraph the test built (absent for reducible sets), for reuse
+    pair_digraph: PairDigraph | None = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
         if self.primitive:
@@ -178,9 +180,9 @@ def check_primitivity(mset: MatrixSet) -> PrimitivityReport:
     for v in pd.vertices():
         if v not in table.dist:
             return PrimitivityReport(
-                primitive=False, irreducible=True, unmergeable_pair=v
+                primitive=False, irreducible=True, unmergeable_pair=v, pair_digraph=pd
             )
-    return PrimitivityReport(primitive=True, irreducible=True)
+    return PrimitivityReport(primitive=True, irreducible=True, pair_digraph=pd)
 
 
 def is_primitive(mset: MatrixSet) -> bool:

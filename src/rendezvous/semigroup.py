@@ -5,7 +5,10 @@ deduplicating identical matrices: two equal products have equal extensions,
 so only the first is ever expanded.  The search records, for each k, the
 first level at which any product has a row or column of weight >= k (the
 exact k-rendezvous profile) and the first level producing the all-ones
-matrix (the exponent).
+matrix (the exponent).  Products are weighed only until the profile is
+complete (every k up to n reached); after that each new product is only
+tested for being all-ones.  ``note_first_reach`` is the one first-reach
+recorder, shared with the subset BFS and the heuristic.
 
 Everything is deterministic given generator order: the frontier is expanded
 in discovery order and children are generated in generator order, so the
@@ -14,10 +17,14 @@ stored witness words are reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
-from .boolmat import BoolMatrix, MatrixSet
+from .boolmat import BoolMatrix, MatrixSet, max_weight
 from .errors import DimensionError
+
+T = TypeVar("T")
 
 DEFAULT_MAX_STATES = 10_000_000
 EXACT_SEARCH_DIMENSION_CAP = 64  # one machine word per bit row
@@ -34,6 +41,24 @@ class Reach:
 
     length: int
     word: tuple[int, ...]
+
+
+def note_first_reach(
+    profile: dict[int, T], weight: int, value: Callable[[], T]
+) -> None:
+    """Record ``value()`` as the first reach of every k in [2, weight] that
+    ``profile`` lacks; callers visit candidates in nondecreasing length.
+
+    Each call fills all of [2, weight], so a profile holds k = 2..len+1
+    without gaps: the largest weight reached is ``len(profile) + 1``, and
+    an n x n profile is complete at ``len(profile) == n - 1``.  ``value``
+    (a witness word costs a walk) is called only when some k is new.
+    """
+    start = len(profile) + 2
+    if weight >= start:
+        reach = value()
+        for k in range(start, weight + 1):
+            profile[k] = reach
 
 
 @dataclass
@@ -61,22 +86,10 @@ def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMa
     return out
 
 
-def _max_weight(n: int, rows: tuple[int, ...]) -> int:
-    best = max(row.bit_count() for row in rows)
-    counts = [0] * n
-    for row in rows:
-        mask = row
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] += 1
-            mask ^= low
-    return max(best, max(counts))
-
-
 def explore(
     mset: MatrixSet,
     max_depth: int | None = None,
-    max_states: int = DEFAULT_MAX_STATES,
+    max_states: int | None = None,
     stop_after_profile: bool = False,
 ) -> SearchResult:
     """Exhaustive level-order search of the generated semigroup.
@@ -85,6 +98,9 @@ def explore(
     by then), when the semigroup is closed (no new products), or when a
     limit is hit; in the latter case the result is flagged partial via
     ``limit``.  Non-primitive input is fine: the exponent simply stays None.
+    ``max_depth`` defaults to ``default_max_depth(n)`` and ``max_states``
+    (the most products ever stored, so ``explored <= max_states``) to
+    ``DEFAULT_MAX_STATES``; both must be at least 1.
 
     ``stop_after_profile`` ends the search once every k-RT entry up to n is
     known, which can be far shallower than the exponent; the result is then
@@ -98,68 +114,48 @@ def explore(
         )
     if max_depth is None:
         max_depth = default_max_depth(n)
+    if max_states is None:
+        max_states = DEFAULT_MAX_STATES
+    if max_depth < 1 or max_states < 1:
+        raise ValueError(
+            f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
+        )
 
     result = SearchResult(n=n, exponent=None)
-    # Discovery bookkeeping: parent/generator chains reconstruct witness words.
-    keys: list[tuple[int, ...]] = []
-    parents: list[int] = []
-    genidx: list[int] = []
+    krt = result.krt
+    ones = ((1 << n) - 1,) * n
+    # Node 0 is the empty product, whose children are the generators.
+    # Parent/generator chains back to it spell each node's witness word.
+    keys: list[tuple[int, ...]] = [BoolMatrix.identity(n).rows]
+    parents: list[int] = [-1]
+    genidx: list[int] = [-1]
     seen: dict[tuple[int, ...], int] = {}
 
     def word_of(idx: int) -> tuple[int, ...]:
         out = []
-        while idx >= 0:
+        while idx > 0:
             out.append(genidx[idx])
             idx = parents[idx]
         return tuple(reversed(out))
-
-    best_k = 1
-    full = (1 << n) - 1
 
     def note(idx: int, depth: int) -> bool:
         """Record first-reach entries for the matrix at node ``idx``.
 
         Returns True when the search may stop: the all-ones matrix was
-        found, or (in profile-only mode) every k-RT entry is known.
+        found, or (in profile-only mode) every k-RT entry is known.  Once
+        the profile is complete a product is only tested for all-ones.
         """
-        nonlocal best_k
         rows = keys[idx]
-        if all(r == full for r in rows):
-            word = word_of(idx)
-            for k in range(best_k + 1, n + 1):
-                result.krt[k] = Reach(depth, word)
-            best_k = n
-            result.exponent = Reach(depth, word)
+        if rows == ones:
+            result.exponent = Reach(depth, word_of(idx))
+            note_first_reach(krt, n, lambda: result.exponent)
             return True
-        w = _max_weight(n, rows)
-        if w > best_k:
-            word = word_of(idx)
-            for k in range(max(2, best_k + 1), w + 1):
-                result.krt[k] = Reach(depth, word)
-            best_k = max(best_k, w)
-            if stop_after_profile and best_k == n:
+        if len(krt) < n - 1:
+            note_first_reach(krt, max_weight(n, rows), lambda: Reach(depth, word_of(idx)))
+            if stop_after_profile and len(krt) == n - 1:
                 result.limit = "profile"
                 return True
         return False
-
-    frontier: list[int] = []
-    states_exceeded = False
-    for g_idx, g in enumerate(mset.generators):
-        if g.rows in seen:
-            continue
-        seen[g.rows] = len(keys)
-        keys.append(g.rows)
-        parents.append(-1)
-        genidx.append(g_idx)
-        frontier.append(len(keys) - 1)
-
-    depth = 1
-    result.depth_reached = 1
-    done = False
-    for idx in frontier:
-        if note(idx, depth):
-            done = True
-            break
 
     # Memoized row images: a child row is the OR of a generator's rows over
     # the parent row's support, and only 2^n distinct parent rows exist.
@@ -181,40 +177,36 @@ def explore(
         table[mask] = acc
         return acc
 
-    while not done and frontier:
+    frontier = [0]
+    depth = 0
+    stop = False
+    while not stop:
+        if not frontier:
+            result.exhausted = True
+            break
         if depth >= max_depth:
             result.limit = "depth"
             break
         depth += 1
         next_frontier: list[int] = []
-        for idx in frontier:
-            mat_rows = keys[idx]
-            for g_idx in range(mset.m):
-                key = tuple(image(g_idx, row) for row in mat_rows)
-                if key in seen:
-                    continue
-                node = len(keys)
-                seen[key] = node
-                keys.append(key)
-                parents.append(idx)
-                genidx.append(g_idx)
-                next_frontier.append(node)
-                result.depth_reached = depth
-                if note(node, depth):
-                    done = True
-                    break
-                if len(keys) >= max_states:
-                    states_exceeded = True
-                    break
-            if done or states_exceeded:
+        for idx, g_idx in itertools.product(frontier, range(mset.m)):
+            key = tuple(image(g_idx, row) for row in keys[idx])
+            if key in seen:
+                continue
+            node = len(keys)
+            seen[key] = node
+            keys.append(key)
+            parents.append(idx)
+            genidx.append(g_idx)
+            next_frontier.append(node)
+            result.depth_reached = depth
+            stop = note(node, depth)
+            if not stop and len(seen) >= max_states:
+                result.limit = "states"
+                stop = True
+            if stop:
                 break
-        if states_exceeded and not done:
-            result.limit = "states"
-            break
-        if not next_frontier and not done:
-            result.exhausted = True
-            break
         frontier = next_frontier
 
-    result.explored = len(keys)
+    result.explored = len(seen)
     return result

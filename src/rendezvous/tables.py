@@ -17,6 +17,7 @@ from .automata import subset_bfs, associated_automaton
 from .boolmat import MatrixSet
 from .bounds import (
     bound_b_recursive,
+    bound_f,
     bound_f_table,
     escape_lower_refined,
     lift_bound,
@@ -52,12 +53,7 @@ def to_csv(header: str, rows: Iterable[str]) -> str:
 
 
 def _exact_krt(mset: MatrixSet, max_depth=None, max_states=None):
-    kwargs = {}
-    if max_depth is not None:
-        kwargs["max_depth"] = max_depth
-    if max_states is not None:
-        kwargs["max_states"] = max_states
-    result = explore(mset, stop_after_profile=True, **kwargs)
+    result = explore(mset, max_depth, max_states, stop_after_profile=True)
     for k in range(2, mset.n + 1):
         if result.krt_length(k) is None:
             why = result.limit or "semigroup exhausted; set is not primitive"
@@ -151,8 +147,7 @@ def fixed_k_bound_rows(k: int, n_max: int) -> list[str]:
         raise ValueError(f"need n_max >= k, got n_max={n_max} < k={k}")
     rows = []
     for n in range(max(2, k), n_max + 1):
-        f_value, _ = bound_f_table(n, k)[k]
-        rows.append(long_row(n, k, "F", f_value))
+        rows.append(long_row(n, k, "F", bound_f(n, k)[0]))
         rows.append(long_row(n, k, "B", bound_b_recursive(n, k)))
     return rows
 
@@ -192,7 +187,7 @@ def nrt_comparison_rows(n_max: int) -> list[str]:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     rows = []
     for n in range(2, n_max + 1):
-        f_value, _ = bound_f_table(n, n)[n]
+        f_value, _ = bound_f(n, n)
         b_value = bound_b_recursive(n, n)
         rows.append(
             ",".join(

@@ -97,6 +97,16 @@ def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> set[tuple[int, ...
     return seen
 
 
+def entry_max_weight(rows: tuple[int, ...]) -> int:
+    """Largest row or column weight of a square bit-row matrix, counted
+    entry by entry."""
+    n = len(rows)
+    entries = [[(rows[i] >> j) & 1 for j in range(n)] for i in range(n)]
+    row_weights = [sum(row) for row in entries]
+    col_weights = [sum(entries[i][j] for i in range(n)) for j in range(n)]
+    return max(row_weights + col_weights)
+
+
 def undeduplicated_profile(
     mset: MatrixSet, max_depth: int
 ) -> tuple[dict[int, int], int | None]:
@@ -109,18 +119,11 @@ def undeduplicated_profile(
     n = mset.n
     gens = [g.rows for g in mset.generators]
     full = tuple((1 << n) - 1 for _ in range(n))
-
-    def max_weight(rows: tuple[int, ...]) -> int:
-        entries = [[(rows[i] >> j) & 1 for j in range(n)] for i in range(n)]
-        row_weights = [sum(row) for row in entries]
-        col_weights = [sum(entries[i][j] for i in range(n)) for j in range(n)]
-        return max(row_weights + col_weights)
-
     profile: dict[int, int] = {}
     level = list(gens)
     for depth in range(1, max_depth + 1):
         for rows in level:
-            for k in range(2, max_weight(rows) + 1):
+            for k in range(2, entry_max_weight(rows) + 1):
                 profile.setdefault(k, depth)
         if full in level:
             return profile, depth

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from rendezvous.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -67,10 +69,12 @@ class TestScalarCommands:
     def test_krt_states_limit_named(self, capsys):
         code, out, _ = run(capsys, "krt", "--builtin", "example", "--max-states", "1")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "k=2 rt=1 word=b"
-        assert lines[1] == "k=3 rt=not-found (states; explored=3, depth=2)"
-        assert lines[2] == "exponent=not-found (states; explored=3, depth=2)"
+        # The cap holds during the first level too: one product, then stop.
+        assert out.splitlines() == [
+            "k=2 rt=not-found (states; explored=1, depth=1)",
+            "k=3 rt=not-found (states; explored=1, depth=1)",
+            "exponent=not-found (states; explored=1, depth=1)",
+        ]
 
     def test_krt_single_k_depth_limit_named(self, capsys):
         code, out, _ = run(
@@ -281,3 +285,37 @@ class TestErrors:
         code, _, err = run(capsys, "check", "--file", str(path))
         assert code == 1
         assert err.startswith("set-file: line 3")
+
+
+ONE = str(DATA / "one.set")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (("exponent", "--builtin", "cpr", "--max-states", "0"), 1, "",
+         "domain: need --max-states >= 1, got 0\n"),
+        (("exponent", "--builtin", "cpr", "--max-states", "-1"), 1, "",
+         "domain: need --max-states >= 1, got -1\n"),
+        (("krt", "--builtin", "cpr", "--max-depth", "-3"), 1, "",
+         "domain: need --max-depth >= 1, got -3\n"),
+        (("figure", "fig2a", "--max-depth", "0"), 1, "",
+         "domain: need --max-depth >= 1, got 0\n"),
+        (("automata", "rt", "--builtin", "cpr", "--letter-cap", "0"), 1, "",
+         "domain: need --letter-cap >= 1, got 0\n"),
+        (("scan", "--n-max", "5", "--k-max", "0"), 1, "",
+         "domain: need --k-max >= 2, got 0\n"),
+        (("scan", "--n-max", "0"), 1, "", "domain: need --n-max >= 2, got 0\n"),
+        (("figure", "fig7", "--k", "3", "--n-max", "0"), 1, "",
+         "domain: need --n-max >= 3, got 0\n"),
+        (("figure", "fig8", "--n-max", "0"), 1, "", "domain: need --n-max >= 2, got 0\n"),
+        (("figure", "fig8", "--k-max", "0"), 1, "", "domain: need --k-max >= 7, got 0\n"),
+        (("figure", "fig9", "--n-max", "0"), 1, "", "domain: need --n-max >= 2, got 0\n"),
+        (("automata", "sandwich", "--file", ONE), 1, "",
+         "domain: the sandwich needs n >= 2, got n=1\n"),
+        (("automata", "rt", "--file", ONE), 0, "aut: rt=0 word=-\naut_T: rt=0 word=-\n", ""),
+        (("exponent", "--file", ONE), 0, "1\n", ""),
+    ],
+)
+def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)

@@ -13,6 +13,7 @@ from rendezvous import (
     run_heuristic,
     witness_replay,
 )
+from rendezvous import heuristic, pairgraph
 from helpers import random_primitive_set
 
 
@@ -61,6 +62,21 @@ class TestTrace:
         for mset in (example_set(), cpr_set(), kari_set()):
             trace = run_heuristic(mset)
             assert trace.iterations <= mset.n - 1
+
+
+    def test_pair_digraph_built_once(self, monkeypatch):
+        real = pairgraph.build_pair_digraph
+        calls = []
+
+        def counted(mset):
+            calls.append(mset)
+            return real(mset)
+
+        for module in (pairgraph, heuristic):
+            if hasattr(module, "build_pair_digraph"):
+                monkeypatch.setattr(module, "build_pair_digraph", counted)
+        run_heuristic(kari_set())
+        assert len(calls) == 1
 
 
 class TestDominance:

@@ -14,6 +14,7 @@ from rendezvous import (
     is_primitive,
     kari_set,
     merging_word,
+    PrimitivityReport,
     pair_vertices,
     singleton_distances,
     witness_replay,
@@ -207,6 +208,12 @@ class TestPrimitivity:
         assert not report.primitive
         assert report.irreducible
         assert report.unmergeable_pair is not None
+
+    def test_report_carries_digraph_outside_comparison(self):
+        report = check_primitivity(cpr_set())
+        assert report.pair_digraph.adjacency == build_pair_digraph(cpr_set()).adjacency
+        assert report == PrimitivityReport(primitive=True, irreducible=True)
+        assert "pair_digraph" not in repr(report)
 
     def test_reducible_reports_witness(self):
         upper = BoolMatrix.from_rows([[1, 1], [0, 1]])
