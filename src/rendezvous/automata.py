@@ -7,18 +7,22 @@ thresholds and automaton k-rendezvous times come from a backward BFS over
 state subsets: starting from the singletons, repeatedly take full letter
 preimages; the first level whose subset has size k is the length of the
 shortest word mapping k states onto one.
+
+The search is the shared ``semigroup.LevelSearch`` with state subsets as
+keys.  A letter's preimage of state q is column q of its matrix, so the
+preimage of a subset is the ``row_image`` of the subset's mask under the
+letter's transpose.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, MatrixSet, bits
+from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
 from .pairgraph import check_primitivity
-from .semigroup import Reach, SearchResult, explore, note_first_reach
+from .semigroup import LevelResult, LevelSearch, Reach, explore, note_first_reach
 
 DEFAULT_LETTER_CAP = 4096
 
@@ -48,15 +52,6 @@ class Automaton:
     @property
     def m(self) -> int:
         return len(self.letters)
-
-    def delta(self) -> list[list[int]]:
-        """Transition table: delta()[letter][state] = next state."""
-        return [
-            [row.bit_length() - 1 for row in letter.rows] for letter in self.letters
-        ]
-
-    def as_matrix_set(self) -> MatrixSet:
-        return MatrixSet(self.n, self.letters, self.labels)
 
 
 def raw_letter_count(mset: MatrixSet) -> int:
@@ -98,93 +93,77 @@ def associated_automaton(mset: MatrixSet, cap: int = DEFAULT_LETTER_CAP) -> Auto
 
 
 @dataclass
-class SubsetBfsResult:
-    n: int
-    synchronizing: bool
-    reset: Reach | None
-    krt: dict[int, Reach] = field(default_factory=dict)  # k in [2, n] -> first reach
-    explored: int = 0
+class SubsetBfsResult(LevelResult):
+    reset: Reach | None = None
+
+    @property
+    def synchronizing(self) -> bool:
+        return self.reset is not None
 
     @property
     def reset_threshold(self) -> int | None:
         return self.reset.length if self.reset else None
 
-    def krt_length(self, k: int) -> int | None:
-        entry = self.krt.get(k)
-        return entry.length if entry else None
 
-
-def subset_bfs(aut: Automaton) -> SubsetBfsResult:
+def subset_bfs(
+    aut: Automaton, max_depth: int | None = None, max_states: int | None = None
+) -> SubsetBfsResult:
     """Backward subset BFS from the singletons.
 
     Level d holds the preimage sets of single states under words of length
     d; a subset of size >= k at level d means some word of length d maps k
     states onto one.  Words are reported in application order (leftmost
     letter applied first).  A 1-state automaton is reset by the empty word.
+    ``max_depth`` bounds the word length and ``max_states`` the subsets
+    stored; None (the default) leaves the search unbounded.
     """
     n = aut.n
-    delta = aut.delta()
-    result = SubsetBfsResult(n=n, synchronizing=False, reset=None)
     full = (1 << n) - 1
-
-    masks: list[int] = []
-    parents: list[int] = []
-    letter_used: list[int] = []
-    dist: dict[int, int] = {}
-
-    def word_of(idx: int) -> tuple[int, ...]:
-        out = []
-        while parents[idx] >= 0:
-            out.append(letter_used[idx])
-            idx = parents[idx]
-        return tuple(out)
-
-    if n == 1:
-        result.synchronizing = True
-        result.reset = Reach(0, ())
-    queue: deque[int] = deque()
-    for q in range(n):
-        mask = 1 << q
-        dist[mask] = 0
-        masks.append(mask)
-        parents.append(-1)
-        letter_used.append(-1)
-        queue.append(len(masks) - 1)
-
-    preimage_bits = [
-        [sum(1 << s for s in range(n) if table[s] == q) for q in range(n)]
-        for table in delta
-    ]
-
-    while queue:
-        idx = queue.popleft()
-        mask = masks[idx]
-        d = dist[mask] + 1
-        for a in range(aut.m):
-            pre = 0
-            table = preimage_bits[a]
-            for q in bits(mask):
-                pre |= table[q]
-            if pre in dist:
-                continue
-            dist[pre] = d
-            masks.append(pre)
-            parents.append(idx)
-            letter_used.append(a)
-            node = len(masks) - 1
-            note_first_reach(result.krt, pre.bit_count(), lambda: Reach(d, word_of(node)))
-            if pre == full:
-                result.synchronizing = True
-                result.reset = Reach(d, word_of(node))
-                queue.clear()
-                break
-            queue.append(node)
-        else:
-            continue
-        break
-
-    result.explored = len(masks)
+    result = SubsetBfsResult(n=n)
+    columns = [letter.transpose().rows for letter in aut.letters]
+    search = LevelSearch(
+        result,
+        aut.m,
+        lambda mask, a: row_image(columns[a], mask),
+        [(1 << q, -1) for q in range(n)],
+        0,
+        max_depth,
+        max_states,
+    )
+    masks = search.keys
+    # A preimage's letter is applied before its parent's word, so a word
+    # read root first is in reverse application order.
+    for node in search:
+        mask = masks[node]
+        word = lambda: Reach(result.depth_reached, search.word(node)[::-1])
+        note_first_reach(result.krt, mask.bit_count(), word)
+        if mask == full:
+            result.reset = word()
+            break
     return result
+
+
+def automata_searches(
+    mset: MatrixSet, cap: int, max_depth: int | None, max_states: int | None
+) -> tuple[SubsetBfsResult, SubsetBfsResult]:
+    """Subset searches of Aut(M) and Aut(M^T) under the same limits."""
+    return tuple(
+        subset_bfs(associated_automaton(source, cap), max_depth, max_states)
+        for source in (mset, mset.transposed())
+    )
+
+
+def reached_length(result: LevelResult, entry: Reach | None, what: str) -> int:
+    """Length of a needed ``entry`` of ``result``; a missing one is a limit
+    error naming the limit that cut the search short, if one did."""
+    if entry is not None:
+        return entry.length
+    if result.limit is None:
+        raise SearchLimitError(f"{what} undefined (not synchronizing?)")
+    raise SearchLimitError(
+        f"{what} not found within limits (limit={result.limit}, "
+        f"explored={result.explored}, depth={result.depth_reached})"
+    )
 
 
 @dataclass(frozen=True)
@@ -204,15 +183,6 @@ class SandwichReport:
         return self.rt_aut + self.rt_aut_transpose + self.n - 1
 
 
-def _require_exponent(res: SearchResult) -> int:
-    if res.exponent is None:
-        raise SearchLimitError(
-            f"exponent not found within limits (limit={res.limit}, "
-            f"explored={res.explored}, depth={res.depth_reached})"
-        )
-    return res.exponent.length
-
-
 def verify_sandwich(
     mset: MatrixSet,
     cap: int = DEFAULT_LETTER_CAP,
@@ -229,11 +199,12 @@ def verify_sandwich(
     report = check_primitivity(mset)
     if not report.primitive:
         raise NotPrimitiveError(report.describe(), report)
-    aut = associated_automaton(mset, cap)
-    aut_t = associated_automaton(mset.transposed(), cap)
-    rt = subset_bfs(aut).reset_threshold
-    rt_t = subset_bfs(aut_t).reset_threshold
-    exp = _require_exponent(explore(mset, max_depth, max_states))
+    rt, rt_t = (
+        reached_length(res, res.reset, "automaton reset threshold")
+        for res in automata_searches(mset, cap, max_depth, max_states)
+    )
+    res = explore(mset, max_depth, max_states)
+    exp = reached_length(res, res.exponent, "exponent")
     upper = rt + rt_t + mset.n - 1
     return SandwichReport(
         n=mset.n,
@@ -274,13 +245,9 @@ def verify_krt_equality(
     if not report.primitive:
         raise NotPrimitiveError(report.describe(), report)
     res = explore(mset, max_depth, max_states)
-    rt_set = res.krt_length(k)
-    if rt_set is None:
-        raise SearchLimitError(f"rt_{k} not found within limits (limit={res.limit})")
-    aut = associated_automaton(mset, cap)
-    aut_t = associated_automaton(mset.transposed(), cap)
-    rt_a = subset_bfs(aut).krt_length(k)
-    rt_at = subset_bfs(aut_t).krt_length(k)
-    if rt_a is None or rt_at is None:
-        raise SearchLimitError(f"automaton rt_{k} undefined (not synchronizing?)")
+    rt_set = reached_length(res, res.krt.get(k), f"rt_{k}")
+    rt_a, rt_at = (
+        reached_length(res, res.krt.get(k), f"automaton rt_{k}")
+        for res in automata_searches(mset, cap, max_depth, max_states)
+    )
     return KrtEqualityReport(k=k, rt_set=rt_set, rt_aut=rt_a, rt_aut_transpose=rt_at)

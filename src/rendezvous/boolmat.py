@@ -5,7 +5,10 @@ as one Python int per row, with bit ``j`` of ``rows[i]`` holding entry
 ``(i, j)``.  Row-level operations (products, supports, weights) are then
 word-parallel bit operations.  Whole-matrix column data (weights, supports,
 backward reachability) comes from one ``transpose()``; ``col(j)`` reads a
-single column.  ``max_weight`` is the one max row/column weight kernel.
+single column.  ``max_weight`` is the one max row/column weight kernel and
+``row_image`` the one "OR of rows over a mask's support" kernel: a product
+row, a memoized child row in the semigroup search, and a subset preimage
+in the automaton search are all row images.
 
 All values here are immutable after construction, so they can be shared
 freely between threads and reused as dict keys.
@@ -27,6 +30,17 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def row_image(rows: tuple[int, ...], mask: int) -> int:
+    """OR of ``rows[j]`` over the set bits j of ``mask``: row ``mask`` of a
+    boolean product whose right factor has bit rows ``rows``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def max_weight(n: int, rows: tuple[int, ...]) -> int:
     """Largest row or column weight of the n x n matrix with bit rows ``rows``."""
     best = max(row.bit_count() for row in rows)
@@ -38,26 +52,6 @@ def max_weight(n: int, rows: tuple[int, ...]) -> int:
             counts[low.bit_length() - 1] += 1
             mask ^= low
     return max(best, max(counts))
-
-
-@dataclass(frozen=True)
-class WeightProfile:
-    """Row/column weights of a matrix plus their maxima.
-
-    Weights are support sizes (popcounts).  Argmax ties break toward the
-    lowest index so repeated runs stay reproducible.
-    """
-
-    per_row: tuple[int, ...]
-    per_column: tuple[int, ...]
-    max_row_weight: int
-    max_col_weight: int
-    argmax_row: int
-    argmax_col: int
-
-    @property
-    def max_weight(self) -> int:
-        return max(self.max_row_weight, self.max_col_weight)
 
 
 @dataclass(frozen=True)
@@ -133,13 +127,7 @@ class BoolMatrix:
                 f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}"
             )
         rows = other.rows
-        out = []
-        for mask in self.rows:
-            acc = 0
-            for s in bits(mask):
-                acc |= rows[s]
-            out.append(acc)
-        return BoolMatrix(self.n, tuple(out))
+        return BoolMatrix(self.n, tuple([row_image(rows, mask) for mask in self.rows]))
 
     def is_all_ones(self) -> bool:
         full = (1 << self.n) - 1
@@ -162,20 +150,6 @@ class BoolMatrix:
     def is_nz(self) -> bool:
         """True iff the matrix has no zero row and no zero column."""
         return self.nz_defect() is None
-
-    def weight_profile(self) -> WeightProfile:
-        per_row = tuple(row.bit_count() for row in self.rows)
-        per_col = tuple(col.bit_count() for col in self.transpose().rows)
-        max_row = max(per_row)
-        max_col = max(per_col)
-        return WeightProfile(
-            per_row=per_row,
-            per_column=per_col,
-            max_row_weight=max_row,
-            max_col_weight=max_col,
-            argmax_row=per_row.index(max_row),
-            argmax_col=per_col.index(max_col),
-        )
 
     def to_lines(self) -> list[str]:
         return [

@@ -223,17 +223,20 @@ def _cmd_automata(args) -> int:
     if args.action == "rt":
         for title, source in (("aut", mset), ("aut_T", mset.transposed())):
             aut = associated_automaton(source, cap)
-            res = subset_bfs(aut)
-            if res.reset is None:
-                print(f"{title}: not-synchronizing")
-            else:
+            res = subset_bfs(aut, args.max_depth, args.max_states)
+            if res.reset is not None:
                 print(
                     f"{title}: rt={res.reset.length} "
                     f"word={_word_labels(aut, res.reset.word)}"
                 )
+            elif res.exhausted:
+                print(f"{title}: not-synchronizing")
+            else:
+                print(f"{title}: rt={_not_found(res)}")
         return 0
     if args.action == "krt":
-        print(tables.to_csv(tables.LONG_HEADER, tables.automata_krt_rows(mset, cap)), end="")
+        rows = tables.automata_krt_rows(mset, cap, args.max_depth, args.max_states)
+        print(tables.to_csv(tables.LONG_HEADER, rows), end="")
         return 0
     if args.action == "sandwich":
         report = verify_sandwich(
@@ -315,6 +318,8 @@ def _cmd_scan(args) -> int:
         raise ValueError("give either --k or --k-max, not both")
     n_max = _flag(args, "n_max", minimum=2)
     if args.k is not None:
+        if not 2 <= args.k <= n_max:
+            raise ValueError(f"--k must be in [2, {n_max}], got {args.k}")
         ks = [args.k]
     else:
         ks = list(range(2, _flag(args, "k_max", n_max, 2) + 1))

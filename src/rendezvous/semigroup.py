@@ -1,14 +1,25 @@
 """Exact breadth-first exploration of the boolean semigroup of a matrix set.
 
+``LevelSearch`` is the one deduplicated level-order search of the
+workbench: it owns the stored keys, parent pointers and letters, the
+witness words, the depth and state limits and the exhaustion test, and
+both exact searches run on it -- ``explore`` here, with boolean products
+as keys, and the automaton subset search (``automata.subset_bfs``), with
+state subsets as keys.
+
 Products are enumerated level by level (level d = products of length d),
 deduplicating identical matrices: two equal products have equal extensions,
-so only the first is ever expanded.  The search records, for each k, the
-first level at which any product has a row or column of weight >= k (the
-exact k-rendezvous profile) and the first level producing the all-ones
-matrix (the exponent).  Products are weighed only until the profile is
-complete (every k up to n reached); after that each new product is only
-tested for being all-ones.  ``note_first_reach`` is the one first-reach
-recorder, shared with the subset BFS and the heuristic.
+so only the first is ever expanded.  The generators are the roots, at
+level 1; the empty product is never a key, so the identity is counted only
+when some product equals it.  A child row is the ``row_image`` of the
+parent row under the generator, memoized per generator: at most 2^n
+distinct rows exist.  The search records, for each k, the first level at
+which any product has a row or column of weight >= k (the exact
+k-rendezvous profile) and the first level producing the all-ones matrix
+(the exponent).  Products are weighed only until the profile is complete
+(every k up to n reached); after that each new product is only tested for
+being all-ones.  ``note_first_reach`` is the one first-reach recorder,
+shared with the subset BFS and the heuristic.
 
 Everything is deterministic given generator order: the frontier is expanded
 in discovery order and children are generated in generator order, so the
@@ -17,14 +28,16 @@ stored witness words are reproducible.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .boolmat import BoolMatrix, MatrixSet, max_weight
+from .boolmat import BoolMatrix, MatrixSet, max_weight, row_image
 from .errors import DimensionError
 
 T = TypeVar("T")
+K = TypeVar("K", bound=Hashable)
 
 DEFAULT_MAX_STATES = 10_000_000
 EXACT_SEARCH_DIMENSION_CAP = 64  # one machine word per bit row
@@ -62,18 +75,118 @@ def note_first_reach(
 
 
 @dataclass
-class SearchResult:
+class LevelResult:
+    """What a level-order search found and why it stopped: the first reach
+    of each k, the nodes stored, the deepest level stored, and either
+    ``exhausted`` (no new node at the last level) or the ``limit`` that cut
+    it short ("depth", "states" or "profile")."""
+
     n: int
-    exponent: Reach | None
     krt: dict[int, Reach] = field(default_factory=dict)  # k in [2, n] -> first reach
     explored: int = 0
     depth_reached: int = 0
     exhausted: bool = False
-    limit: str | None = None  # "depth" | "states" | None
+    limit: str | None = None
 
     def krt_length(self, k: int) -> int | None:
         entry = self.krt.get(k)
         return entry.length if entry else None
+
+
+@dataclass
+class SearchResult(LevelResult):
+    exponent: Reach | None = None
+
+
+class LevelSearch:
+    """Deduplicated breadth-first search over hashable keys, shared by the
+    semigroup search and the automaton subset search.
+
+    The roots, ``(key, letter)`` pairs with letter -1 for none, form level
+    ``depth``; a key at level d has children ``child(key, a)`` at level
+    d + 1 for letters a in 0..m-1.  Parents are expanded in discovery order
+    and letters in index order, and a key seen before is dropped, so every
+    stored key is reached by a shortest word, reproducibly.  Iterating
+    yields each new node, roots first; the caller breaks to stop.  The
+    search records on ``result`` the nodes stored, the deepest level stored
+    and why it stopped by itself: a level added nothing (``exhausted``), or
+    it would pass ``max_depth`` or has stored ``max_states`` keys
+    (``limit``).  A None limit never stops it.
+    """
+
+    def __init__(
+        self,
+        result: LevelResult,
+        m: int,
+        child: Callable[[K, int], K],
+        roots: Iterable[tuple[K, int]],
+        depth: int,
+        max_depth: int | None,
+        max_states: int | None,
+    ):
+        if any(limit is not None and limit < 1 for limit in (max_depth, max_states)):
+            raise ValueError(
+                f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
+            )
+        self.result = result
+        self.m = m
+        self.child = child
+        self.roots = roots
+        self.depth = depth
+        self.max_depth = math.inf if max_depth is None else max_depth
+        self.max_states = math.inf if max_states is None else max_states
+        self.keys: list[K] = []
+        self.parents: list[int] = []
+        self.letters: list[int] = []
+        self.seen: set[K] = set()
+
+    def word(self, node: int) -> tuple[int, ...]:
+        """Letters on the path from the node's root to the node, root first."""
+        out = []
+        while node >= 0 and self.letters[node] >= 0:
+            out.append(self.letters[node])
+            node = self.parents[node]
+        return tuple(reversed(out))
+
+    def _store(self, key: K, parent: int, letter: int, depth: int) -> int:
+        node = len(self.keys)
+        self.seen.add(key)
+        self.keys.append(key)
+        self.parents.append(parent)
+        self.letters.append(letter)
+        self.result.explored = node + 1
+        self.result.depth_reached = depth
+        return node
+
+    def __iter__(self) -> Iterator[int]:
+        keys, seen, child, result = self.keys, self.seen, self.child, self.result
+        depth = self.depth
+        for key, letter in self.roots:
+            if key not in seen:
+                yield self._store(key, -1, letter, depth)
+                if result.explored >= self.max_states:
+                    result.limit = "states"
+                    return
+        start = 0
+        while True:
+            end = len(keys)
+            if start == end:
+                result.exhausted = True
+                return
+            if depth >= self.max_depth:
+                result.limit = "depth"
+                return
+            depth += 1
+            for parent in range(start, end):
+                key = keys[parent]
+                for letter in range(self.m):
+                    new = child(key, letter)
+                    if new not in seen:
+                        yield self._store(new, parent, letter, depth)
+                        if result.explored >= self.max_states:
+                            result.limit = "states"
+                            return
+            start = end
 
 
 def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMatrix:
@@ -112,101 +225,34 @@ def explore(
         raise DimensionError(
             f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {n}"
         )
-    if max_depth is None:
-        max_depth = default_max_depth(n)
-    if max_states is None:
-        max_states = DEFAULT_MAX_STATES
-    if max_depth < 1 or max_states < 1:
-        raise ValueError(
-            f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
-        )
-
-    result = SearchResult(n=n, exponent=None)
+    result = SearchResult(n=n)
     krt = result.krt
     ones = ((1 << n) - 1,) * n
-    # Node 0 is the empty product, whose children are the generators.
-    # Parent/generator chains back to it spell each node's witness word.
-    keys: list[tuple[int, ...]] = [BoolMatrix.identity(n).rows]
-    parents: list[int] = [-1]
-    genidx: list[int] = [-1]
-    seen: dict[tuple[int, ...], int] = {}
-
-    def word_of(idx: int) -> tuple[int, ...]:
-        out = []
-        while idx > 0:
-            out.append(genidx[idx])
-            idx = parents[idx]
-        return tuple(reversed(out))
-
-    def note(idx: int, depth: int) -> bool:
-        """Record first-reach entries for the matrix at node ``idx``.
-
-        Returns True when the search may stop: the all-ones matrix was
-        found, or (in profile-only mode) every k-RT entry is known.  Once
-        the profile is complete a product is only tested for all-ones.
-        """
-        rows = keys[idx]
+    images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
+    search = LevelSearch(
+        result,
+        mset.m,
+        lambda key, g: tuple(map(images[g], key)),
+        [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)],
+        1,
+        default_max_depth(n) if max_depth is None else max_depth,
+        DEFAULT_MAX_STATES if max_states is None else max_states,
+    )
+    keys = search.keys
+    # Stop at the all-ones matrix (every k-RT entry is fixed by then) or, in
+    # profile-only mode, once every k-RT entry is known.  Once the profile
+    # is complete a product is only tested for all-ones.
+    for node in search:
+        rows = keys[node]
         if rows == ones:
-            result.exponent = Reach(depth, word_of(idx))
+            result.exponent = Reach(result.depth_reached, search.word(node))
             note_first_reach(krt, n, lambda: result.exponent)
-            return True
+            break
         if len(krt) < n - 1:
-            note_first_reach(krt, max_weight(n, rows), lambda: Reach(depth, word_of(idx)))
+            note_first_reach(
+                krt, max_weight(n, rows), lambda: Reach(result.depth_reached, search.word(node))
+            )
             if stop_after_profile and len(krt) == n - 1:
                 result.limit = "profile"
-                return True
-        return False
-
-    # Memoized row images: a child row is the OR of a generator's rows over
-    # the parent row's support, and only 2^n distinct parent rows exist.
-    gen_rows = [g.rows for g in mset.generators]
-    row_image: list[dict[int, int]] = [{} for _ in range(mset.m)]
-
-    def image(g_idx: int, mask: int) -> int:
-        table = row_image[g_idx]
-        cached = table.get(mask)
-        if cached is not None:
-            return cached
-        rows = gen_rows[g_idx]
-        acc = 0
-        m = mask
-        while m:
-            low = m & -m
-            acc |= rows[low.bit_length() - 1]
-            m ^= low
-        table[mask] = acc
-        return acc
-
-    frontier = [0]
-    depth = 0
-    stop = False
-    while not stop:
-        if not frontier:
-            result.exhausted = True
-            break
-        if depth >= max_depth:
-            result.limit = "depth"
-            break
-        depth += 1
-        next_frontier: list[int] = []
-        for idx, g_idx in itertools.product(frontier, range(mset.m)):
-            key = tuple(image(g_idx, row) for row in keys[idx])
-            if key in seen:
-                continue
-            node = len(keys)
-            seen[key] = node
-            keys.append(key)
-            parents.append(idx)
-            genidx.append(g_idx)
-            next_frontier.append(node)
-            result.depth_reached = depth
-            stop = note(node, depth)
-            if not stop and len(seen) >= max_states:
-                result.limit = "states"
-                stop = True
-            if stop:
                 break
-        frontier = next_frontier
-
-    result.explored = len(seen)
     return result

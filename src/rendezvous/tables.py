@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .automata import subset_bfs, associated_automaton
+from .automata import automata_searches, reached_length
 from .boolmat import MatrixSet
 from .bounds import (
     bound_b_recursive,
@@ -124,17 +124,15 @@ def bounds_rows(n: int, ks: Sequence[int], ceil_variant: bool = False) -> list[s
     return rows
 
 
-def automata_krt_rows(mset: MatrixSet, cap: int) -> list[str]:
+def automata_krt_rows(
+    mset: MatrixSet, cap: int, max_depth=None, max_states=None
+) -> list[str]:
     """Backward-BFS k-RT of both associated automata plus their minimum."""
     n = mset.n
-    aut = subset_bfs(associated_automaton(mset, cap))
-    aut_t = subset_bfs(associated_automaton(mset.transposed(), cap))
+    searches = automata_searches(mset, cap, max_depth, max_states)
     rows = []
     for k in range(2, n + 1):
-        a = aut.krt_length(k)
-        b = aut_t.krt_length(k)
-        if a is None or b is None:
-            raise SearchLimitError(f"automaton rt_{k} undefined (not synchronizing?)")
+        a, b = (reached_length(res, res.krt.get(k), f"automaton rt_{k}") for res in searches)
         rows.append(long_row(n, k, "rt_aut", a))
         rows.append(long_row(n, k, "rt_aut_T", b))
         rows.append(long_row(n, k, "rt_min", min(a, b)))

@@ -52,6 +52,11 @@ def random_automaton(rng: random.Random, n: int, m: int) -> Automaton:
     return Automaton(n, letters, tuple(f"x{i}" for i in range(m)))
 
 
+def letter_set(aut: Automaton) -> MatrixSet:
+    """An automaton's letters as a matrix set, for replaying its words."""
+    return MatrixSet(aut.n, aut.letters, aut.labels)
+
+
 def naive_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Triple-loop boolean product on 0/1 nested lists (oracle route)."""
     n = len(a)

@@ -20,6 +20,7 @@ from rendezvous import (
 )
 from helpers import (
     forward_reset_threshold,
+    letter_set,
     random_automaton,
     random_nz_set,
     random_primitive_set,
@@ -105,14 +106,14 @@ class TestSubsetBfs:
         result = subset_bfs(aut)
         assert result.reset_threshold == 2
         # Replaying the reset word must produce an all-ones column.
-        prod = witness_replay(aut.as_matrix_set(), result.reset.word)
+        prod = witness_replay(letter_set(aut), result.reset.word)
         assert any(prod.col(j) == 0b111 for j in range(3))
 
     def test_example_transpose_reset_threshold_three(self):
         aut = associated_automaton(example_set().transposed())
         result = subset_bfs(aut)
         assert result.reset_threshold == 3
-        prod = witness_replay(aut.as_matrix_set(), result.reset.word)
+        prod = witness_replay(letter_set(aut), result.reset.word)
         assert any(prod.col(j) == 0b111 for j in range(3))
 
     def test_identity_automaton_not_synchronizing(self):
@@ -133,7 +134,7 @@ class TestSubsetBfs:
     def test_krt_witnesses_merge_k_states(self):
         aut = associated_automaton(cpr_set())
         result = subset_bfs(aut)
-        mats = aut.as_matrix_set()
+        mats = letter_set(aut)
         for k, entry in result.krt.items():
             prod = witness_replay(mats, entry.word)
             assert max(prod.col(j).bit_count() for j in range(aut.n)) >= k

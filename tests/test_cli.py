@@ -288,6 +288,7 @@ class TestErrors:
 
 
 ONE = str(DATA / "one.set")
+SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets it
 
 
 @pytest.mark.parametrize(
@@ -315,6 +316,23 @@ ONE = str(DATA / "one.set")
          "domain: the sandwich needs n >= 2, got n=1\n"),
         (("automata", "rt", "--file", ONE), 0, "aut: rt=0 word=-\naut_T: rt=0 word=-\n", ""),
         (("exponent", "--file", ONE), 0, "1\n", ""),
+        (("automata", "rt", "--builtin", "kari", "--max-states", "1"), 0,
+         "aut: rt=not-found (states; explored=1, depth=0)\n"
+         "aut_T: rt=not-found (states; explored=1, depth=0)\n", ""),
+        (("automata", "rt", "--builtin", "cpr", "--max-depth", "3"), 0,
+         "aut: rt=not-found (depth; explored=10, depth=3)\n"
+         "aut_T: rt=not-found (depth; explored=12, depth=3)\n", ""),
+        (("automata", "krt", "--builtin", "cpr", "--max-depth", "1"), 1, "",
+         "limit: automaton rt_3 not found within limits (limit=depth, explored=6, depth=1)\n"),
+        (("automata", "sandwich", "--builtin", "cpr", "--max-states", "7"), 1, "",
+         "limit: automaton reset threshold not found within limits "
+         "(limit=states, explored=7, depth=2)\n"),
+        (("automata", "krt-equality", "--builtin", "kari", "--k", "3", "--max-depth", "3"), 1, "",
+         "limit: automaton rt_3 not found within limits (limit=depth, explored=12, depth=3)\n"),
+        (("scan", "--n-max", "5", "--k", "1"), 1, "", "domain: --k must be in [2, 5], got 1\n"),
+        (("scan", "--n-max", "5", "--k", "9"), 1, "", "domain: --k must be in [2, 5], got 9\n"),
+        (("automata", "rt", "--file", SWAP, "--max-depth", "1"), 0,
+         "aut: not-synchronizing\naut_T: not-synchronizing\n", ""),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):

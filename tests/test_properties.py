@@ -1,12 +1,28 @@
-"""Property tests for n in [1, 5]: the weight kernel, the semigroup search
-and the subset BFS against the independent oracles in ``helpers``."""
+"""Property tests for n in [1, 5]: the weight and row-image kernels, the
+shared level-order search behind ``explore`` and ``subset_bfs``, and the
+bridge between them, against the independent oracles in ``helpers``."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from rendezvous import Automaton, BoolMatrix, MatrixSet, Reach, explore, subset_bfs
-from rendezvous.boolmat import max_weight
-from helpers import entry_max_weight, forward_reset_threshold, undeduplicated_profile
+from rendezvous import (
+    Automaton,
+    BoolMatrix,
+    MatrixSet,
+    Reach,
+    associated_automaton,
+    explore,
+    is_primitive,
+    subset_bfs,
+)
+from rendezvous.boolmat import max_weight, row_image
+from helpers import (
+    entry_max_weight,
+    forward_reset_threshold,
+    letter_set,
+    semigroup_closure,
+    undeduplicated_profile,
+)
 
 # Fixed example sequences and no example database: the suite stays
 # deterministic and leaves no files behind.
@@ -35,7 +51,7 @@ def nz_sets(draw, max_n=5, max_m=3):
 
 
 @st.composite
-def automata(draw, min_n=2, max_n=5):
+def automata(draw, min_n=1, max_n=5):
     n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(1, 3))
     letters = tuple(
@@ -58,11 +74,17 @@ def test_max_weight_matches_entry_oracle(mat):
 @PROPERTY
 @given(st.integers(1, 5).flatmap(matrices))
 def test_weight_profile_columns_match_col(mat):
-    profile = mat.weight_profile()
-    per_column = tuple(mat.col(j).bit_count() for j in range(mat.n))
-    assert profile.per_column == per_column
-    assert profile.max_col_weight == max(per_column)
-    assert profile.argmax_col == per_column.index(max(per_column))
+    assert mat.transpose().rows == tuple(mat.col(j) for j in range(mat.n))
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(matrices), st.integers(0, 31))
+def test_row_image_matches_entry_oracle(mat, mask):
+    mask &= (1 << mat.n) - 1
+    entries = [
+        any((mask >> s) & 1 and mat.entry(s, j) for s in range(mat.n)) for j in range(mat.n)
+    ]
+    assert row_image(mat.rows, mask) == sum(1 << j for j, e in enumerate(entries) if e)
 
 
 @PROPERTY
@@ -84,7 +106,52 @@ def test_explore_never_stores_more_than_max_states(mset, cap):
 
 
 @PROPERTY
-@given(automata())
+@given(nz_sets(max_n=4, max_m=2))
+def test_explore_counts_the_whole_closure_when_exhausted(mset):
+    result = explore(mset)
+    closure = semigroup_closure(mset)
+    ones = ((1 << mset.n) - 1,) * mset.n
+    if result.exhausted:
+        assert result.explored == len(closure)
+        assert result.exponent is None and ones not in closure
+    else:
+        assert result.explored <= len(closure)
+        assert result.exponent is not None and ones in closure
+
+
+@PROPERTY
+@given(automata(min_n=2), st.integers(1, 4))
+def test_subset_bfs_profile_matches_forward_oracle(aut, depth):
+    oracle, _ = undeduplicated_profile(letter_set(aut), max_depth=depth)
+    full = profile_lengths(subset_bfs(aut))
+    assert {k: length for k, length in full.items() if length <= depth} == oracle
+    assert profile_lengths(subset_bfs(aut, max_depth=depth)) == oracle
+
+
+@PROPERTY
+@given(nz_sets(max_n=4, max_m=2))
+def test_set_krt_is_min_over_the_two_automata(mset):
+    assume(mset.n >= 2 and is_primitive(mset))
+    exact = explore(mset)
+    aut = subset_bfs(associated_automaton(mset))
+    aut_t = subset_bfs(associated_automaton(mset.transposed()))
+    for k in range(2, mset.n + 1):
+        assert exact.krt_length(k) == min(aut.krt_length(k), aut_t.krt_length(k))
+
+
+@PROPERTY
+@given(automata(), st.integers(1, 30))
+def test_subset_bfs_never_stores_more_than_max_states(aut, cap):
+    result = subset_bfs(aut, max_states=cap)
+    assert result.explored <= cap
+    if result.limit == "states":
+        assert result.explored == cap
+    else:
+        assert result == subset_bfs(aut)
+
+
+@PROPERTY
+@given(automata(min_n=2))
 def test_subset_bfs_matches_forward_oracle(aut):
     assert subset_bfs(aut).reset_threshold == forward_reset_threshold(aut)
 
@@ -101,3 +168,5 @@ def test_subset_bfs_one_state_is_reset_by_empty_word():
 def test_explore_rejects_limits_below_one(limits):
     with pytest.raises(ValueError):
         explore(MatrixSet.of([BoolMatrix.ones(2)]), **limits)
+    with pytest.raises(ValueError):
+        subset_bfs(Automaton(1, (BoolMatrix.identity(1),), ("a",)), **limits)
