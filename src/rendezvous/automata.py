@@ -9,9 +9,13 @@ preimages; the first level whose subset has size k is the length of the
 shortest word mapping k states onto one.
 
 The search is the shared ``semigroup.LevelSearch`` with state subsets as
-keys.  A letter's preimage of state q is column q of its matrix, so the
-preimage of a subset is the ``row_image`` of the subset's mask under the
-letter's transpose.
+keys, each viewed as one bit row.  A letter's preimage of state q is column
+q of its matrix, so the preimage of a subset is the ``row_image`` of the
+subset's mask under the letter's transpose.  Each level keeps only its
+maximal new subsets (no other new subset of the level contains them):
+S within T implies preimage(S) within preimage(T), so a contained subset
+never reaches size k, or the full set, before its container does, and the
+reset threshold and every automaton k-RT are unchanged.
 """
 
 from __future__ import annotations
@@ -110,10 +114,11 @@ def subset_bfs(
 ) -> SubsetBfsResult:
     """Backward subset BFS from the singletons.
 
-    Level d holds the preimage sets of single states under words of length
-    d; a subset of size >= k at level d means some word of length d maps k
-    states onto one.  Words are reported in application order (leftmost
-    letter applied first).  A 1-state automaton is reset by the empty word.
+    Level d holds the maximal new preimage sets of single states under
+    words of length d; a subset of size >= k at level d means some word of
+    length d maps k states onto one.  Words are reported in application
+    order (leftmost letter applied first).  A 1-state automaton is reset by
+    the empty word.
     ``max_depth`` bounds the word length and ``max_states`` the subsets
     stored; None (the default) leaves the search unbounded.
     """
@@ -125,6 +130,7 @@ def subset_bfs(
         result,
         aut.m,
         lambda mask, a: row_image(columns[a], mask),
+        lambda mask: (mask,),
         [(1 << q, -1) for q in range(n)],
         0,
         max_depth,

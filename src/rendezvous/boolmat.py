@@ -114,8 +114,11 @@ class BoolMatrix:
         n = self.n
         cols = [0] * n
         for i, row in enumerate(self.rows):
-            for j in bits(row):
-                cols[j] |= 1 << i
+            bit = 1 << i
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         return BoolMatrix(n, tuple(cols))
 
     def __matmul__(self, other: "BoolMatrix") -> "BoolMatrix":

@@ -111,7 +111,8 @@ def build_witness(n: int, k: int) -> EscapeWitness:
         for _ in range(height):
             rows[r] |= 1 << t
             r += 1
-    assert r == n
+    if r != n:
+        raise RuntimeError(f"column band filled {r} rows, expected {n}")
     linear = n - k * (k - 1) - 1
     if linear >= ceil_nk:
         alpha = linear - ceil_nk
@@ -123,7 +124,8 @@ def build_witness(n: int, k: int) -> EscapeWitness:
         for t in range(alpha):
             rows[k + t] |= 1 << (c + t)
         c += alpha
-        assert c == n
+        if c != n:
+            raise RuntimeError(f"linear branch filled {c} columns, expected {n}")
         return EscapeWitness(BoolMatrix(n, tuple(rows)), linear, "hat")
     # Ceiling branch: n - v filler columns fit in the first k rows at k-1
     # per row exactly because n - v <= k(k-1) here.
@@ -137,7 +139,8 @@ def build_witness(n: int, k: int) -> EscapeWitness:
             c += 1
         remaining -= take
         i += 1
-    assert c == n
+    if c != n:
+        raise RuntimeError(f"ceiling branch filled {c} columns, expected {n}")
     return EscapeWitness(BoolMatrix(n, tuple(rows)), ceil_nk, "tilde")
 
 

@@ -322,7 +322,10 @@ def _cmd_scan(args) -> int:
             raise ValueError(f"--k must be in [2, {n_max}], got {args.k}")
         ks = [args.k]
     else:
-        ks = list(range(2, _flag(args, "k_max", n_max, 2) + 1))
+        k_max = _flag(args, "k_max", n_max, 2)
+        if k_max > n_max:
+            raise ValueError(f"--k-max must be in [2, {n_max}], got {k_max}")
+        ks = list(range(2, k_max + 1))
     rows = tables.scan_rows(range(2, n_max + 1), ks)
     print(tables.to_csv(tables.LONG_HEADER, rows), end="")
     return 0

@@ -98,8 +98,10 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
         if mode == "any":
             grown = endpoint[0]
         cols = current.transpose().rows
-        # Merging paths absorb the escaping column, so growth is strict.
-        assert support & ~cols[grown] == 0 and cols[grown] != support
+        # Merging paths absorb the escaping column, so growth is strict and
+        # the loop ends within n rounds.
+        if support & ~cols[grown] or cols[grown] == support:
+            raise RuntimeError(f"column {grown} did not grow past its support {support:#x}")
 
     return HeuristicTrace(
         word=tuple(word),

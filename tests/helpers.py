@@ -8,9 +8,11 @@ an independent route, not against itself.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
-from rendezvous import BoolMatrix, MatrixSet, bound_b_closed, is_primitive
+from rendezvous import BoolMatrix, MatrixSet, automata, bound_b_closed, is_primitive, semigroup
 from rendezvous.automata import Automaton
 
 
@@ -100,6 +102,91 @@ def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> set[tuple[int, ...
                         raise RuntimeError("closure cap exceeded")
         frontier = nxt
     return seen
+
+
+def entry_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether bit-row matrix ``a`` lies entrywise below ``b``, entry by entry."""
+    width = max(max(a, default=0), max(b, default=0)).bit_length()
+    return all(
+        (row_a >> j) & 1 <= (row_b >> j) & 1
+        for row_a, row_b in zip(a, b)
+        for j in range(width)
+    )
+
+
+def maximal_levels(roots, children, cap: int = 200_000) -> tuple[list[set], int]:
+    """The stored levels of a search that keeps each level's maximal new
+    keys, and the number of distinct keys it met (kept or not).
+
+    Level 0 is the maximal roots; the next level is every child of the
+    current level not seen before (every candidate, kept or not, counts as
+    seen), filtered pairwise to the keys no other candidate lies below.
+    Keys are bit-row tuples compared with ``entry_leq``.  Stops at the
+    first level with no candidate.
+    """
+
+    def maximal(cands: set) -> set:
+        return {a for a in cands if not any(b != a and entry_leq(a, b) for b in cands)}
+
+    seen = set(roots)
+    level = maximal(seen)
+    levels = []
+    while level:
+        levels.append(level)
+        cands = {c for key in level for c in children(key)} - seen
+        seen |= cands
+        if len(seen) > cap:
+            raise RuntimeError("maximal-levels cap exceeded")
+        level = maximal(cands)
+    return levels, len(seen)
+
+
+def product_levels(mset: MatrixSet) -> tuple[list[set[tuple[int, ...]]], int]:
+    """``maximal_levels`` of the forward products, level 0 holding the
+    generators (products of length 1)."""
+    gens = [g.rows for g in mset.generators]
+    return maximal_levels(gens, lambda rows: [row_tuple_product(rows, g) for g in gens])
+
+
+def subset_levels(aut: Automaton) -> tuple[list[set[tuple[int]]], int]:
+    """``maximal_levels`` of the letter preimages of single states, as
+    1-row keys ``(mask,)``; level d holds subsets of length-d words."""
+    n = aut.n
+    dest = [[letter.rows[q].bit_length() - 1 for q in range(n)] for letter in aut.letters]
+
+    def preimages(key):
+        (mask,) = key
+        return [
+            (sum(1 << q for q in range(n) if (mask >> to[q]) & 1),) for to in dest
+        ]
+
+    return maximal_levels([(1 << q,) for q in range(n)], preimages)
+
+
+def stored_levels(search) -> list[set]:
+    """A ``LevelSearch``'s stored keys, viewed as bit-row tuples, grouped
+    by word length."""
+    levels: dict[int, set] = {}
+    for node, key in enumerate(search.keys):
+        levels.setdefault(len(search.word(node)), set()).add(search.rows(key))
+    return [levels[d] for d in sorted(levels)]
+
+
+@contextmanager
+def recorded_searches():
+    """The list of every ``LevelSearch`` that ``explore`` and ``subset_bfs``
+    start inside the block, in order."""
+    searches = []
+
+    class Recorded(semigroup.LevelSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    with patch.object(semigroup, "LevelSearch", Recorded), patch.object(
+        automata, "LevelSearch", Recorded
+    ):
+        yield searches
 
 
 def entry_max_weight(rows: tuple[int, ...]) -> int:

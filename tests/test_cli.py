@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from rendezvous import associated_automaton, cpr_set, kari_set
 from rendezvous.cli import main
+from helpers import subset_levels
 
 DATA = Path(__file__).parent / "data"
 
@@ -319,21 +324,61 @@ SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets 
         (("automata", "rt", "--builtin", "kari", "--max-states", "1"), 0,
          "aut: rt=not-found (states; explored=1, depth=0)\n"
          "aut_T: rt=not-found (states; explored=1, depth=0)\n", ""),
+        # Each explored= under a depth limit is the number of subsets in the
+        # first levels of the maximal-levels oracle; see
+        # test_depth_limited_explored_counts_follow_the_oracle.
         (("automata", "rt", "--builtin", "cpr", "--max-depth", "3"), 0,
-         "aut: rt=not-found (depth; explored=10, depth=3)\n"
-         "aut_T: rt=not-found (depth; explored=12, depth=3)\n", ""),
+         "aut: rt=not-found (depth; explored=9, depth=3)\n"
+         "aut_T: rt=not-found (depth; explored=7, depth=3)\n", ""),
         (("automata", "krt", "--builtin", "cpr", "--max-depth", "1"), 1, "",
-         "limit: automaton rt_3 not found within limits (limit=depth, explored=6, depth=1)\n"),
+         "limit: automaton rt_3 not found within limits (limit=depth, explored=5, depth=1)\n"),
         (("automata", "sandwich", "--builtin", "cpr", "--max-states", "7"), 1, "",
          "limit: automaton reset threshold not found within limits "
          "(limit=states, explored=7, depth=2)\n"),
         (("automata", "krt-equality", "--builtin", "kari", "--k", "3", "--max-depth", "3"), 1, "",
-         "limit: automaton rt_3 not found within limits (limit=depth, explored=12, depth=3)\n"),
+         "limit: automaton rt_3 not found within limits (limit=depth, explored=11, depth=3)\n"),
         (("scan", "--n-max", "5", "--k", "1"), 1, "", "domain: --k must be in [2, 5], got 1\n"),
         (("scan", "--n-max", "5", "--k", "9"), 1, "", "domain: --k must be in [2, 5], got 9\n"),
         (("automata", "rt", "--file", SWAP, "--max-depth", "1"), 0,
          "aut: not-synchronizing\naut_T: not-synchronizing\n", ""),
+        (("scan", "--n-max", "5", "--k-max", "9"), 1, "",
+         "domain: --k-max must be in [2, 5], got 9\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
     assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize(
+    "mset, transposed, depth, explored",
+    [
+        (cpr_set(), False, 3, 9),  # automata rt --builtin cpr --max-depth 3
+        (cpr_set(), True, 3, 7),
+        (cpr_set(), False, 1, 5),  # automata krt --builtin cpr --max-depth 1
+        (kari_set(), False, 3, 11),  # automata krt-equality --builtin kari --k 3 --max-depth 3
+    ],
+)
+def test_depth_limited_explored_counts_follow_the_oracle(mset, transposed, depth, explored):
+    source = mset.transposed() if transposed else mset
+    levels, _ = subset_levels(associated_automaton(source))
+    assert sum(map(len, levels[: depth + 1])) == explored
+
+
+@pytest.mark.parametrize(
+    "argv", [("heuristic", "--builtin", "kari"), ("witness", "--n", "10", "--k", "3")]
+)
+def test_optimized_interpreter_prints_the_same(argv):
+    # ``python -O`` strips assert statements; no check the output relies on
+    # may be one.
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "rendezvous", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        for flags in ((), ("-O",))
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout

@@ -1,6 +1,7 @@
 """Property tests for n in [1, 5]: the weight and row-image kernels, the
-shared level-order search behind ``explore`` and ``subset_bfs``, and the
-bridge between them, against the independent oracles in ``helpers``."""
+shared level-order search behind ``explore`` and ``subset_bfs`` (its
+stored levels are the maximal levels of a pairwise oracle), and the bridge
+between them, against the independent oracles in ``helpers``."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,10 +18,15 @@ from rendezvous import (
 )
 from rendezvous.boolmat import max_weight, row_image
 from helpers import (
+    entry_leq,
     entry_max_weight,
     forward_reset_threshold,
     letter_set,
+    product_levels,
+    recorded_searches,
     semigroup_closure,
+    stored_levels,
+    subset_levels,
     undeduplicated_profile,
 )
 
@@ -107,16 +113,52 @@ def test_explore_never_stores_more_than_max_states(mset, cap):
 
 @PROPERTY
 @given(nz_sets(max_n=4, max_m=2))
-def test_explore_counts_the_whole_closure_when_exhausted(mset):
-    result = explore(mset)
+def test_explore_stores_a_dominating_part_of_the_closure(mset):
+    with recorded_searches() as searches:
+        result = explore(mset)
+    stored = set(searches[0].keys)
     closure = semigroup_closure(mset)
     ones = ((1 << mset.n) - 1,) * mset.n
+    assert stored <= closure
+    assert all(any(entry_leq(rows, key) for key in stored) for rows in closure)
     if result.exhausted:
-        assert result.explored == len(closure)
+        assert result.explored == sum(map(len, product_levels(mset)[0]))
         assert result.exponent is None and ones not in closure
     else:
-        assert result.explored <= len(closure)
         assert result.exponent is not None and ones in closure
+
+
+def assert_antichains(levels):
+    for level in levels:
+        for a in level:
+            assert not any(b != a and entry_leq(a, b) for b in level)
+
+
+@PROPERTY
+@given(nz_sets())
+def test_explore_levels_are_the_maximal_levels_of_the_oracle(mset):
+    with recorded_searches() as searches:
+        result = explore(mset)
+    levels = stored_levels(searches[0])
+    assert_antichains(levels)
+    oracle, met = product_levels(mset)
+    if result.limit is None:
+        assert levels == oracle
+        assert result.pruned == met - result.explored
+    else:
+        assert result.limit == "depth" and levels == oracle[: len(levels)]
+
+
+@PROPERTY
+@given(automata())
+def test_subset_bfs_levels_are_the_maximal_levels_of_the_oracle(aut):
+    with recorded_searches() as searches:
+        result = subset_bfs(aut)
+    levels = stored_levels(searches[0])
+    assert_antichains(levels)
+    oracle, met = subset_levels(aut)
+    assert levels == oracle
+    assert result.pruned == met - result.explored
 
 
 @PROPERTY
