@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
 from .pairgraph import check_primitivity
-from .semigroup import LevelResult, LevelSearch, Reach, explore, note_first_reach
+from .semigroup import (
+    DEFAULT_MAX_STATES,
+    LevelResult,
+    LevelSearch,
+    Reach,
+    explore,
+    note_first_reach,
+)
 
 DEFAULT_LETTER_CAP = 4096
 
@@ -119,8 +126,9 @@ def subset_bfs(
     length d maps k states onto one.  Words are reported in application
     order (leftmost letter applied first).  A 1-state automaton is reset by
     the empty word.
-    ``max_depth`` bounds the word length and ``max_states`` the subsets
-    stored; None (the default) leaves the search unbounded.
+    ``max_depth`` bounds the word length (None leaves it unbounded) and
+    ``max_states`` the subsets stored, ``DEFAULT_MAX_STATES`` when None, as
+    in ``explore``.
     """
     n = aut.n
     full = (1 << n) - 1
@@ -134,7 +142,7 @@ def subset_bfs(
         [(1 << q, -1) for q in range(n)],
         0,
         max_depth,
-        max_states,
+        DEFAULT_MAX_STATES if max_states is None else max_states,
     )
     masks = search.keys
     # A preimage's letter is applied before its parent's word, so a word

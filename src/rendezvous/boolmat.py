@@ -5,10 +5,13 @@ as one Python int per row, with bit ``j`` of ``rows[i]`` holding entry
 ``(i, j)``.  Row-level operations (products, supports, weights) are then
 word-parallel bit operations.  Whole-matrix column data (weights, supports,
 backward reachability) comes from one ``transpose()``; ``col(j)`` reads a
-single column.  ``max_weight`` is the one max row/column weight kernel and
-``row_image`` the one "OR of rows over a mask's support" kernel: a product
-row, a memoized child row in the semigroup search, and a subset preimage
-in the automaton search are all row images.
+single column.  ``max_weight`` is the one max row/column weight kernel; it
+counts columns with bit-sliced counters (one int per bit of the count), so
+a row costs a few word-parallel operations, not one step per set bit.
+``row_image`` is the one "OR of rows over a mask's support" kernel: a
+product row, a memoized child row in the semigroup search, a subset
+preimage in the automaton search and a column of the heuristic's product
+are all row images.
 
 All values here are immutable after construction, so they can be shared
 freely between threads and reused as dict keys.
@@ -42,16 +45,32 @@ def row_image(rows: tuple[int, ...], mask: int) -> int:
 
 
 def max_weight(n: int, rows: tuple[int, ...]) -> int:
-    """Largest row or column weight of the n x n matrix with bit rows ``rows``."""
-    best = max(row.bit_count() for row in rows)
-    counts = [0] * n
-    for row in rows:
-        mask = row
-        while mask:
-            low = mask & -mask
-            counts[low.bit_length() - 1] += 1
-            mask ^= low
-    return max(best, max(counts))
+    """Largest row or column weight of the n x n matrix with bit rows ``rows``.
+
+    Column counts are bit-sliced: bit j of ``planes[b]`` is bit b of column
+    j's count, and each row is added by a carry-save add across the planes.
+    The largest count is read from the top plane down, keeping the columns
+    whose count agrees with the maximum on the planes read so far.
+    """
+    planes: list[int] = []
+    for carry in rows:
+        b = 0
+        for plane in planes:
+            planes[b] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+            b += 1
+        else:
+            if carry:
+                planes.append(carry)
+    count, live = 0, (1 << n) - 1
+    for plane in reversed(planes):
+        count <<= 1
+        if live & plane:
+            live &= plane
+            count |= 1
+    return max(count, max(map(int.bit_count, rows)))
 
 
 @dataclass(frozen=True)

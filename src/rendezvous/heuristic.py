@@ -7,16 +7,22 @@ shortest merging path, and multiplies them in.  Each round strictly
 enlarges the grown column's support, so at most n - 1 rounds produce a
 product with an all-ones column.
 
-Prefix weights (rows and columns both) are tracked letter by letter until
-some line reaches weight n, giving an upper bound on the k-rendezvous time
-for every k at once.  Column supports come from one transpose per round.
+The product is kept as its columns only, since every step reads columns:
+growing one column, scanning the escaping columns, seeding by column
+weight.  By (PG)^T = G^T P^T, column j of P·G is the ``row_image`` of the
+columns under column j of G, so a letter costs nnz(G), not nnz(P), and
+``final`` is one transpose at the end.
+
+Prefix weights (rows and columns both; the max weight of P is that of its
+transpose) are tracked letter by letter until some line reaches weight n,
+giving an upper bound on the k-rendezvous time for every k at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolmat import BoolMatrix, MatrixSet, max_weight
+from .boolmat import BoolMatrix, MatrixSet, max_weight, row_image
 from .errors import NotPrimitiveError
 from .pairgraph import check_primitivity, normalized, singleton_distances
 from .semigroup import note_first_reach
@@ -56,29 +62,28 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
         raise NotPrimitiveError(report.describe(), report)
     n = mset.n
     full = (1 << n) - 1
-    gens = mset.generators
+    gen_cols = [g.transpose().rows for g in mset.generators]
 
     # Seed: the generator holding the heaviest column, grown at that column.
-    seed_weights = [[c.bit_count() for c in g.transpose().rows] for g in gens]
+    seed_weights = [[c.bit_count() for c in g_cols] for g_cols in gen_cols]
     seed_idx = max(range(mset.m), key=lambda g_idx: max(seed_weights[g_idx]))
     grown = seed_weights[seed_idx].index(max(seed_weights[seed_idx]))
-    current = gens[seed_idx]
+    cols = gen_cols[seed_idx]
 
     word: list[int] = [seed_idx]
     per_k: dict[int, int] = {}
 
-    def note(mat: BoolMatrix) -> None:
+    def note() -> None:
         if len(per_k) < n - 1:
-            note_first_reach(per_k, max_weight(n, mat.rows), lambda: len(word))
+            note_first_reach(per_k, max_weight(n, cols), lambda: len(word))
 
-    note(current)
+    note()
 
     if mode == "specific":
         distances = singleton_distances(report.pair_digraph, target=(grown, grown))
     else:
-        distances = singleton_distances(report.pair_digraph)
+        distances = report.distances
 
-    cols = current.transpose().rows
     iterations = 0
     while cols[grown] != full:
         iterations += 1
@@ -92,12 +97,11 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
         )
         labels, endpoint = distances.path_from(normalized(grown, best_j))
         for g_idx in labels:
-            current = current @ gens[g_idx]
+            cols = tuple([row_image(cols, mask) for mask in gen_cols[g_idx]])
             word.append(g_idx)
-            note(current)
+            note()
         if mode == "any":
             grown = endpoint[0]
-        cols = current.transpose().rows
         # Merging paths absorb the escaping column, so growth is strict and
         # the loop ends within n rounds.
         if support & ~cols[grown] or cols[grown] == support:
@@ -105,7 +109,7 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
 
     return HeuristicTrace(
         word=tuple(word),
-        final=current,
+        final=BoolMatrix(n, cols).transpose(),
         column_index=grown,
         per_k_length=per_k,
         mode=mode,

@@ -7,6 +7,11 @@ A(j,j') are positive, or A(i,j') and A(j,i') are.  For NZ sets, an
 irreducible set is primitive exactly when every pair vertex can reach some
 singleton, and walking such a path yields a product merging the two states
 into one column.
+
+The reverse adjacency, which every backward BFS from the singletons reads,
+is built once per digraph in the same pass as the adjacency.  The
+primitivity report carries the digraph and its all-singleton distance
+table, so callers that need either (the heuristic) do not build them again.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ class PairDigraph:
     n: int
     # vertex -> ((successor, generator index), ...) in deterministic order
     adjacency: dict[Vertex, tuple[tuple[Vertex, int], ...]]
+    # vertex -> [(predecessor, generator index), ...] sorted, built with
+    # ``adjacency``; determined by it, so left out of comparison and repr
+    reverse: dict[Vertex, list[tuple[Vertex, int]]] = field(compare=False, repr=False)
 
     def vertices(self) -> list[Vertex]:
         return pair_vertices(self.n)
@@ -41,27 +49,30 @@ class PairDigraph:
     def singletons(self) -> list[Vertex]:
         return [(s, s) for s in range(self.n)]
 
-    def reverse_adjacency(self) -> dict[Vertex, list[tuple[Vertex, int]]]:
-        rev: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in self.vertices()}
-        for u in self.vertices():
-            for succ, label in self.adjacency[u]:
-                rev[succ].append((u, label))
-        return rev
-
 
 def build_pair_digraph(mset: MatrixSet) -> PairDigraph:
-    """Construct the labeled pair digraph of an NZ matrix set."""
+    """Construct the labeled pair digraph of an NZ matrix set.
+
+    The reverse adjacency is filled in the same pass.  Vertices are visited
+    in row-major order and generators in index order, so each predecessor
+    list comes out sorted by (predecessor, generator).
+    """
     mset.require_nz()
+    n = mset.n
+    positions = [[list(bits(row)) for row in g.rows] for g in mset.generators]
     adjacency: dict[Vertex, tuple[tuple[Vertex, int], ...]] = {}
-    for i, j in pair_vertices(mset.n):
+    vertices = pair_vertices(n)
+    reverse: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in vertices}
+    for u in vertices:
+        i, j = u
         edges: list[tuple[Vertex, int]] = []
-        for g_idx, g in enumerate(mset.generators):
-            succs = {
-                normalized(x, y) for x in bits(g.row(i)) for y in bits(g.row(j))
-            }
-            edges.extend((succ, g_idx) for succ in sorted(succs))
-        adjacency[(i, j)] = tuple(edges)
-    return PairDigraph(mset.n, adjacency)
+        for g_idx, rows in enumerate(positions):
+            succs = {normalized(x, y) for x in rows[i] for y in rows[j]}
+            for succ in sorted(succs):
+                edges.append((succ, g_idx))
+                reverse[succ].append((u, g_idx))
+        adjacency[u] = tuple(edges)
+    return PairDigraph(n, adjacency, reverse)
 
 
 @dataclass
@@ -98,9 +109,7 @@ def singleton_distances(pd: PairDigraph, target: Vertex | None = None) -> Distan
     """
     if target is not None and target[0] != target[1]:
         raise ValueError(f"target {target} is not a singleton")
-    rev = pd.reverse_adjacency()
-    for v in rev:
-        rev[v].sort()
+    rev = pd.reverse
     dist: dict[Vertex, int] = {}
     next_hop: dict[Vertex, tuple[int, Vertex]] = {}
     sources = [target] if target is not None else pd.singletons()
@@ -151,6 +160,8 @@ class PrimitivityReport:
     reducibility_witness: tuple[int, int] | None = None
     # the pair digraph the test built (absent for reducible sets), for reuse
     pair_digraph: PairDigraph | None = field(default=None, compare=False, repr=False)
+    # its all-singleton distance table (absent for reducible sets), for reuse
+    distances: DistanceTable | None = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
         if self.primitive:
@@ -180,9 +191,13 @@ def check_primitivity(mset: MatrixSet) -> PrimitivityReport:
     for v in pd.vertices():
         if v not in table.dist:
             return PrimitivityReport(
-                primitive=False, irreducible=True, unmergeable_pair=v, pair_digraph=pd
+                primitive=False,
+                irreducible=True,
+                unmergeable_pair=v,
+                pair_digraph=pd,
+                distances=table,
             )
-    return PrimitivityReport(primitive=True, irreducible=True, pair_digraph=pd)
+    return PrimitivityReport(primitive=True, irreducible=True, pair_digraph=pd, distances=table)
 
 
 def is_primitive(mset: MatrixSet) -> bool:

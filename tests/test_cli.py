@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rendezvous import associated_automaton, cpr_set, kari_set
+from rendezvous import associated_automaton, automata, cpr_set, kari_set, subset_bfs
 from rendezvous.cli import main
 from helpers import subset_levels
 
@@ -100,6 +100,14 @@ class TestScalarCommands:
         assert "k=4 length=" in out
         assert out.startswith("mode=any")
 
+    @pytest.mark.parametrize("mode", ["specific", "any"])
+    def test_heuristic_past_one_word_prints_the_recorded_trace(self, capsys, mode):
+        # perm70.<mode>.out is the stdout recorded before the heuristic kept
+        # its product as columns; word, column and every k line must match.
+        expected = (DATA / f"perm70.{mode}.out").read_text()
+        assert run(capsys, "heuristic", "--mode", mode, "--file", str(DATA / "perm70.set")) == (
+            0, expected, "")
+
 
 class TestAutomataCommands:
     def test_construct_lists_letters(self, capsys):
@@ -134,6 +142,15 @@ class TestAutomataCommands:
         rows = long_rows(out)
         mins = {k: v for (_, k, q, v, _c) in rows if q == "rt_min"}
         assert mins[2] == 1
+
+    def test_subset_search_stops_at_the_default_state_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(automata, "DEFAULT_MAX_STATES", 7)
+        assert subset_bfs(associated_automaton(cpr_set())).limit == "states"
+        code, out, err = run(capsys, "automata", "rt", "--builtin", "cpr")
+        assert (code, err) == (0, "")
+        assert out.startswith("aut: rt=not-found (states; explored=7, depth=")
+        assert run(capsys, "automata", "rt", "--builtin", "cpr", "--max-states", "7") == (
+            code, out, err)
 
     def test_letter_cap_error(self, capsys):
         code, out, err = run(
@@ -365,7 +382,12 @@ def test_depth_limited_explored_counts_follow_the_oracle(mset, transposed, depth
 
 
 @pytest.mark.parametrize(
-    "argv", [("heuristic", "--builtin", "kari"), ("witness", "--n", "10", "--k", "3")]
+    "argv",
+    [
+        ("heuristic", "--builtin", "kari"),
+        ("witness", "--n", "10", "--k", "3"),
+        ("heuristic", "--mode", "any", "--file", str(DATA / "perm70.set")),
+    ],
 )
 def test_optimized_interpreter_prints_the_same(argv):
     # ``python -O`` strips assert statements; no check the output relies on

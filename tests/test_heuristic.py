@@ -1,4 +1,6 @@
+import functools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +15,26 @@ from rendezvous import (
     run_heuristic,
     witness_replay,
 )
-from rendezvous import heuristic, pairgraph
+from rendezvous import heuristic, pairgraph, parse_set_file
 from helpers import entry_max_weight, random_primitive_set
+
+DATA = Path(__file__).parent / "data"
+
+
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call to ``pairgraph.<name>``, wherever
+    it is bound."""
+    real = getattr(pairgraph, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (pairgraph, heuristic):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def exact_profile(mset):
@@ -65,18 +85,42 @@ class TestTrace:
 
 
     def test_pair_digraph_built_once(self, monkeypatch):
-        real = pairgraph.build_pair_digraph
-        calls = []
-
-        def counted(mset):
-            calls.append(mset)
-            return real(mset)
-
-        for module in (pairgraph, heuristic):
-            if hasattr(module, "build_pair_digraph"):
-                monkeypatch.setattr(module, "build_pair_digraph", counted)
+        calls = count_calls(monkeypatch, "build_pair_digraph")
         run_heuristic(kari_set())
         assert len(calls) == 1
+
+    def test_any_mode_reuses_the_primitivity_distances(self, monkeypatch):
+        # The primitivity test's BFS is the nearest-singleton table that
+        # ``any`` mode routes by; ``specific`` needs one more, to its target.
+        for mode, expected in (("any", 1), ("specific", 2)):
+            calls = count_calls(monkeypatch, "singleton_distances")
+            run_heuristic(kari_set(), mode=mode)
+            assert len(calls) == expected, mode
+
+
+class TestLargeFixture:
+    """A primitive permutation-plus-one pair at n = 70, past one machine word
+    of rows and columns alike."""
+
+    mset = parse_set_file(DATA / "perm70.set")
+
+    @pytest.mark.parametrize("mode", ["specific", "any"])
+    def test_final_is_the_replayed_word(self, mode):
+        trace = run_heuristic(self.mset, mode=mode)
+        assert trace.final == witness_replay(self.mset, trace.word)
+        assert trace.final.col(trace.column_index) == (1 << self.mset.n) - 1
+
+    def test_per_k_first_reaches_match_prefix_weights(self):
+        trace = run_heuristic(self.mset)
+        # Prefixes by the row-major product, not the heuristic's column one.
+        prefixes = [BoolMatrix.identity(self.mset.n)]
+        for g_idx in trace.word:
+            prefixes.append(prefixes[-1] @ self.mset.generators[g_idx])
+        weights = functools.cache(lambda length: entry_max_weight(prefixes[length].rows))
+        assert sorted(trace.per_k_length) == list(range(2, self.mset.n + 1))
+        for k, length in trace.per_k_length.items():
+            assert weights(length) >= k
+            assert length == 1 or weights(length - 1) < k
 
 
 class TestDominance:

@@ -82,6 +82,18 @@ class TestBuild:
             target = ((s + 1) % 4, (s + 1) % 4)
             assert succs[0] == (target, 0)
 
+    def test_reverse_is_the_sorted_reversal_of_adjacency(self):
+        rng = random.Random(15)
+        sets = [example_set(), cpr_set(), kari_set(), cycle_set(5)]
+        sets += [random_nz_set(rng, rng.randint(1, 7), rng.randint(1, 3)) for _ in range(30)]
+        for mset in sets:
+            pd = build_pair_digraph(mset)
+            reversal = {v: [] for v in pair_vertices(mset.n)}
+            for u, succs in pd.adjacency.items():
+                for v, g_idx in succs:
+                    reversal[v].append((u, g_idx))
+            assert pd.reverse == {v: sorted(preds) for v, preds in reversal.items()}
+
     def test_non_nz_rejected_with_generator_name(self):
         bad = MatrixSet.of(
             [BoolMatrix.identity(2), BoolMatrix.from_rows([[1, 0], [1, 0]])],
@@ -212,8 +224,11 @@ class TestPrimitivity:
     def test_report_carries_digraph_outside_comparison(self):
         report = check_primitivity(cpr_set())
         assert report.pair_digraph.adjacency == build_pair_digraph(cpr_set()).adjacency
+        table = singleton_distances(build_pair_digraph(cpr_set()))
+        assert (report.distances.dist, report.distances.next_hop) == (table.dist, table.next_hop)
+        assert report.distances.target is None
         assert report == PrimitivityReport(primitive=True, irreducible=True)
-        assert "pair_digraph" not in repr(report)
+        assert "pair_digraph" not in repr(report) and "distances" not in repr(report)
 
     def test_reducible_reports_witness(self):
         upper = BoolMatrix.from_rows([[1, 1], [0, 1]])

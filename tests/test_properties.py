@@ -1,7 +1,9 @@
-"""Property tests for n in [1, 5]: the weight and row-image kernels, the
-shared level-order search behind ``explore`` and ``subset_bfs`` (its
-stored levels are the maximal levels of a pairwise oracle), and the bridge
-between them, against the independent oracles in ``helpers``."""
+"""Property tests, mostly for n in [1, 5]: the weight kernel (up to n = 130,
+past one machine word) and the row-image kernel, the shared level-order
+search behind ``explore`` and ``subset_bfs`` (its stored levels are the
+maximal levels of a pairwise oracle), the bridge between them, the set-file
+round trip and the B and lift tables, against the independent oracles in
+``helpers``."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,16 +14,22 @@ from rendezvous import (
     MatrixSet,
     Reach,
     associated_automaton,
+    bound_b_closed,
+    bound_b_recursive,
     explore,
     is_primitive,
+    parse_set_text,
+    serialize_set,
     subset_bfs,
 )
 from rendezvous.boolmat import max_weight, row_image
+from rendezvous.bounds import _lift_grid
 from helpers import (
     entry_leq,
     entry_max_weight,
     forward_reset_threshold,
     letter_set,
+    lift_table_oracle,
     product_levels,
     recorded_searches,
     semigroup_closure,
@@ -72,9 +80,21 @@ def profile_lengths(result):
 
 
 @PROPERTY
-@given(st.integers(1, 5).flatmap(matrices))
+@given(st.one_of(st.integers(1, 5), st.integers(6, 130)).flatmap(matrices))
 def test_max_weight_matches_entry_oracle(mat):
     assert max_weight(mat.n, mat.rows) == entry_max_weight(mat.rows)
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 127, 128, 129])
+def test_max_weight_counts_past_one_word(count):
+    # The column counters gain a plane at 64 and 128; column 0 holds
+    # ``count`` ones, the next columns one and two fewer, and the last row
+    # is all zero, so no row is heavier than three.
+    n = 130
+    rows = tuple(
+        sum(1 << j for j in range(3) if i < count - j) for i in range(n - 1)
+    ) + (0,)
+    assert max_weight(n, rows) == entry_max_weight(rows) == count
 
 
 @PROPERTY
@@ -212,3 +232,31 @@ def test_explore_rejects_limits_below_one(limits):
         explore(MatrixSet.of([BoolMatrix.ones(2)]), **limits)
     with pytest.raises(ValueError):
         subset_bfs(Automaton(1, (BoolMatrix.identity(1),), ("a",)), **limits)
+
+
+# A label is one stripped comment line, so it holds no control, space or
+# line-break characters.
+LABELS = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+)
+
+
+@PROPERTY
+@given(nz_sets(max_n=8, max_m=4), st.data())
+def test_set_file_round_trip(mset, data):
+    labels = data.draw(st.lists(LABELS, min_size=mset.m, max_size=mset.m))
+    labelled = MatrixSet.of(mset.generators, labels)
+    assert parse_set_text(serialize_set(labelled)) == labelled
+
+
+@PROPERTY
+@given(st.integers(2, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
+def test_b_closed_form_equals_recursion(nk):
+    assert bound_b_closed(*nk) == bound_b_recursive(*nk)
+
+
+@PROPERTY
+@given(st.integers(2, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
+def test_lift_grid_column_matches_scalar_oracle(nk):
+    n, k = nk
+    assert _lift_grid(n, k)[: k + 1, k].tolist() == [0, 0] + lift_table_oracle(n, k)
