@@ -1,27 +1,27 @@
-"""Associated automata of a matrix set and subset-BFS reset analysis.
+"""Associated automata of a matrix set and the subset search over states.
 
 The automaton associated to an NZ set collects every binary row-stochastic
 matrix lying entrywise below some generator: independently picking one 1
-per row from each generator's rows and deduplicating the results.  Reset
-thresholds and automaton k-rendezvous times come from a backward BFS over
-state subsets: starting from the singletons, repeatedly take full letter
-preimages; the first level whose subset has size k is the length of the
-shortest word mapping k states onto one.
+per row from each generator's rows and deduplicating the results.
 
-The search is the shared ``semigroup.LevelSearch`` with state subsets as
-keys, each viewed as one bit row.  A letter's preimage of state q is column
-q of its matrix, so the preimage of a subset is the ``row_image`` of the
-subset's mask under the letter's transpose.  Each level keeps only its
-maximal new subsets (no other new subset of the level contains them):
-S within T implies preimage(S) within preimage(T), so a contained subset
-never reaches size k, or the full set, before its container does, and the
-reset threshold and every automaton k-RT are unchanged.
+``subset_bfs`` is the one search for reset thresholds and k-rendezvous
+times, on any boolean letters.  pre_a(S), the states whose row of letter a
+meets S, is the ``row_image`` of S's mask under a's transpose, and column
+j of A_{w1}...A_{wd} is pre_{w1}(...pre_{wd}({j})).  So the first level of
+preimages of singletons holding a subset of size k is the length of the
+shortest product with a weight-k column; on an automaton's letters, of the
+shortest word mapping k states onto one.  ``set_profile`` runs the search
+on a set's generators and on their transposes and takes the minimum: the
+paper's rt_k(M) = min(rt_k(Aut M), rt_k(Aut M^T)), without building Aut.
+The search is ``semigroup.LevelSearch`` with subsets as keys, each viewed
+as one bit row; each level keeps only its maximal new subsets, which is
+exact since S within T implies pre_a(S) within pre_a(T).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
@@ -33,6 +33,7 @@ from .semigroup import (
     Reach,
     explore,
     note_first_reach,
+    require_exact_search,
 )
 
 DEFAULT_LETTER_CAP = 4096
@@ -104,7 +105,16 @@ def associated_automaton(mset: MatrixSet, cap: int = DEFAULT_LETTER_CAP) -> Auto
 
 
 @dataclass
-class SubsetBfsResult(LevelResult):
+class ProfileResult(LevelResult):
+    krt: dict[int, Reach] = field(default_factory=dict)  # k in [2, n] -> first reach
+
+    def krt_length(self, k: int) -> int | None:
+        entry = self.krt.get(k)
+        return entry.length if entry else None
+
+
+@dataclass
+class SubsetBfsResult(ProfileResult):
     reset: Reach | None = None
 
     @property
@@ -117,26 +127,27 @@ class SubsetBfsResult(LevelResult):
 
 
 def subset_bfs(
-    aut: Automaton, max_depth: int | None = None, max_states: int | None = None
+    n: int,
+    letters: tuple[BoolMatrix, ...],
+    max_depth: int | None = None,
+    max_states: int | None = None,
 ) -> SubsetBfsResult:
-    """Backward subset BFS from the singletons.
+    """Backward subset BFS from the singletons over n x n boolean letters.
 
-    Level d holds the maximal new preimage sets of single states under
-    words of length d; a subset of size >= k at level d means some word of
-    length d maps k states onto one.  Words are reported in application
-    order (leftmost letter applied first).  A 1-state automaton is reset by
-    the empty word.
-    ``max_depth`` bounds the word length (None leaves it unbounded) and
-    ``max_states`` the subsets stored, ``DEFAULT_MAX_STATES`` when None, as
-    in ``explore``.
+    Level d holds the maximal new preimages of single states under words
+    of length d; a subset of size k there is a column of weight k of the
+    word's product, and the full set is a reset.  Words are reported in
+    application order (leftmost letter applied first), which is product
+    order.  The 1-state search is reset by the empty word.  ``max_depth``
+    bounds the word length (None leaves it unbounded) and ``max_states``
+    the subsets stored, ``DEFAULT_MAX_STATES`` when None, as in ``explore``.
     """
-    n = aut.n
     full = (1 << n) - 1
     result = SubsetBfsResult(n=n)
-    columns = [letter.transpose().rows for letter in aut.letters]
+    columns = [letter.transpose().rows for letter in letters]
     search = LevelSearch(
         result,
-        aut.m,
+        len(columns),
         lambda mask, a: row_image(columns[a], mask),
         lambda mask: (mask,),
         [(1 << q, -1) for q in range(n)],
@@ -157,12 +168,49 @@ def subset_bfs(
     return result
 
 
+def set_profile(
+    mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
+) -> ProfileResult:
+    """Exact rt_k of a matrix set for each k it reaches: the min of the
+    column side (``subset_bfs`` on the generators) and the row side (on
+    their transposes, whose words read root first are in product order).
+
+    Both sides run under the same limits; the record sums ``explored`` and
+    ``pruned`` and keeps the deeper ``depth_reached`` and a side's
+    ``limit``.  A side cut short at depth D without k has no k below D
+    only, so a longer length is left out, with every larger k.
+    """
+    require_exact_search(mset)
+    sides = [
+        subset_bfs(mset.n, source.generators, max_depth, max_states)
+        for source in (mset, mset.transposed())
+    ]
+    result = ProfileResult(
+        n=mset.n,
+        explored=sum(side.explored for side in sides),
+        pruned=sum(side.pruned for side in sides),
+        depth_reached=max(side.depth_reached for side in sides),
+        exhausted=all(side.exhausted for side in sides),
+        limit=next((side.limit for side in sides if side.limit), None),
+    )
+    for k in range(2, mset.n + 1):
+        found = [(side.krt[k].length, s) for s, side in enumerate(sides) if k in side.krt]
+        if not found:
+            break
+        length, s = min(found)
+        if any(side.limit and k not in side.krt and side.depth_reached < length for side in sides):
+            break
+        word = sides[s].krt[k].word
+        result.krt[k] = Reach(length, word[::-1] if s else word)
+    return result
+
+
 def automata_searches(
     mset: MatrixSet, cap: int, max_depth: int | None, max_states: int | None
 ) -> tuple[SubsetBfsResult, SubsetBfsResult]:
     """Subset searches of Aut(M) and Aut(M^T) under the same limits."""
     return tuple(
-        subset_bfs(associated_automaton(source, cap), max_depth, max_states)
+        subset_bfs(mset.n, associated_automaton(source, cap).letters, max_depth, max_states)
         for source in (mset, mset.transposed())
     )
 
@@ -258,7 +306,7 @@ def verify_krt_equality(
     report = check_primitivity(mset)
     if not report.primitive:
         raise NotPrimitiveError(report.describe(), report)
-    res = explore(mset, max_depth, max_states)
+    res = set_profile(mset, max_depth, max_states)
     rt_set = reached_length(res, res.krt.get(k), f"rt_{k}")
     rt_a, rt_at = (
         reached_length(res, res.krt.get(k), f"automaton rt_{k}")

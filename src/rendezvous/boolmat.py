@@ -10,7 +10,7 @@ counts columns with bit-sliced counters (one int per bit of the count), so
 a row costs a few word-parallel operations, not one step per set bit.
 ``row_image`` is the one "OR of rows over a mask's support" kernel: a
 product row, a memoized child row in the semigroup search, a subset
-preimage in the automaton search and a column of the heuristic's product
+preimage in the subset search and a column of the heuristic's product
 are all row images.
 
 All values here are immutable after construction, so they can be shared
@@ -117,10 +117,6 @@ class BoolMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def row(self, i: int) -> int:
-        """Bitmask of row ``i`` (bit j set iff entry (i, j) is 1)."""
-        return self.rows[i]
 
     def col(self, j: int) -> int:
         """Bitmask of column ``j`` (bit i set iff entry (i, j) is 1)."""

@@ -13,6 +13,7 @@ from . import tables
 from .automata import (
     DEFAULT_LETTER_CAP,
     associated_automaton,
+    set_profile,
     subset_bfs,
     verify_krt_equality,
     verify_sandwich,
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_source(p)
     _add_limits(p)
 
-    p = sub.add_parser("krt", help="exact k-rendezvous profile by semigroup BFS")
+    p = sub.add_parser("krt", help="exact k-rendezvous profile by subset BFS on the generators")
     _add_set_source(p)
     _add_limits(p)
     p.add_argument("--k", type=int, default=None, help="report only this k")
@@ -166,6 +167,14 @@ def _not_found(result) -> str:
     return f"not-found ({reason}; explored={result.explored}, depth={result.depth_reached})"
 
 
+def _reach(source, result, entry) -> str:
+    """A found entry's length and word over the labels of ``source`` (a set
+    or an automaton), or why ``result`` lacks it."""
+    if entry is None:
+        return _not_found(result)
+    return f"{entry.length} word={_word_labels(source, entry.word)}"
+
+
 def _cmd_exponent(args) -> int:
     mset = _load_set(args)
     result = explore(mset, max_depth=args.max_depth, max_states=args.max_states)
@@ -180,28 +189,12 @@ def _cmd_krt(args) -> int:
     mset = _load_set(args)
     if args.k is not None and not 2 <= args.k <= mset.n:
         raise ValueError(f"--k must be in [2, {mset.n}], got {args.k}")
-    # A single-k query never needs the exponent, so stop at the profile.
-    result = explore(
-        mset,
-        max_depth=args.max_depth,
-        max_states=args.max_states,
-        stop_after_profile=args.k is not None,
-    )
-    ks = [args.k] if args.k is not None else list(range(2, mset.n + 1))
-    for k in ks:
-        entry = result.krt.get(k)
-        if entry is None:
-            print(f"k={k} rt={_not_found(result)}")
-        else:
-            print(f"k={k} rt={entry.length} word={_word_labels(mset, entry.word)}")
+    profile = set_profile(mset, args.max_depth, args.max_states)
+    for k in [args.k] if args.k is not None else range(2, mset.n + 1):
+        print(f"k={k} rt={_reach(mset, profile, profile.krt.get(k))}")
     if args.k is None:
-        if result.exponent is None:
-            print(f"exponent={_not_found(result)}")
-        else:
-            print(
-                f"exponent={result.exponent.length} "
-                f"word={_word_labels(mset, result.exponent.word)}"
-            )
+        result = explore(mset, max_depth=args.max_depth, max_states=args.max_states)
+        print(f"exponent={_reach(mset, result, result.exponent)}")
     return 0
 
 
@@ -223,16 +216,11 @@ def _cmd_automata(args) -> int:
     if args.action == "rt":
         for title, source in (("aut", mset), ("aut_T", mset.transposed())):
             aut = associated_automaton(source, cap)
-            res = subset_bfs(aut, args.max_depth, args.max_states)
-            if res.reset is not None:
-                print(
-                    f"{title}: rt={res.reset.length} "
-                    f"word={_word_labels(aut, res.reset.word)}"
-                )
-            elif res.exhausted:
+            res = subset_bfs(aut.n, aut.letters, args.max_depth, args.max_states)
+            if res.reset is None and res.exhausted:
                 print(f"{title}: not-synchronizing")
             else:
-                print(f"{title}: rt={_not_found(res)}")
+                print(f"{title}: rt={_reach(aut, res, res.reset)}")
         return 0
     if args.action == "krt":
         rows = tables.automata_krt_rows(mset, cap, args.max_depth, args.max_states)

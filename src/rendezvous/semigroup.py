@@ -2,37 +2,29 @@
 
 ``LevelSearch`` is the one level-order search of the workbench: it owns
 the stored keys, parent pointers and letters, the witness words, the
-depth and state limits and the exhaustion test, and both exact searches
-run on it -- ``explore`` here, with boolean products as keys, and the
-automaton subset search (``automata.subset_bfs``), with state subsets as
-keys.
+depth and state limits and the exhaustion test.  Both exact searches run
+on it: ``explore`` here, the exponent search with boolean products as
+keys, and ``automata.subset_bfs``, the k-rendezvous and reset search with
+state subsets as keys.
 
-Products are enumerated level by level (level d = products of length d).
-Identical matrices are deduplicated: two equal products have equal
-extensions, so only the first is ever expanded.  Each level also keeps only
-its maximal new products, those no other new product of the level lies
-entrywise below: if A <= B then AW <= BW for every word W, so a dominated
-product never reaches a heavy row or column, or the all-ones matrix,
-before its dominator does (the induction is in ``LevelSearch``).  The
-dominated ones are found with a level-local index, one bitset per entry
-(i, j) over the kept products, heaviest first.  On kari this stores 45,223
-products instead of the 832,573 distinct products up to the exponent.
-
-The generators are the roots, at level 1; the empty product is never a
-key, so the identity is counted only when some product equals it.  A child
-row is the ``row_image`` of the parent row under the generator, memoized
-per generator: at most 2^n distinct rows exist.  The search records, for
-each k, the first level at which any product has a row or column of weight
->= k (the exact k-rendezvous profile) and the first level producing the
-all-ones matrix (the exponent).  Products are weighed only until the
-profile is complete (every k up to n reached); after that each new product
-is only tested for being all-ones.  ``note_first_reach`` is the one
-first-reach recorder, shared with the subset BFS and the heuristic.
+``explore`` enumerates products level by level (level d = products of
+length d), the generators at level 1, until the all-ones matrix appears;
+the empty product is never a key, so the identity is counted only when
+some product equals it.  Identical matrices are deduplicated, and each
+level keeps only its maximal new products, those no other new product of
+the level lies entrywise below: if A <= B then AW <= BW for every word W,
+so a dominated product never reaches the all-ones matrix first (the
+induction is in ``LevelSearch``).  The dominated ones are found with a
+level-local index, one bitset per entry (i, j) over the kept products,
+heaviest first.  On kari this stores 45,223 products instead of the
+832,573 distinct products up to the exponent.  A child row is the
+``row_image`` of the parent row under the generator, memoized per
+generator.  ``note_first_reach`` is the one first-reach recorder, shared
+by the subset search and the heuristic.
 
 Everything is deterministic given generator order: each level is collected
-in discovery order with children in generator order, and its maximal
-products are kept in that order, so the stored witness words are
-reproducible.
+in discovery order with children in generator order, and its maximal keys
+are kept in that order, so the stored witness words are reproducible.
 """
 
 from __future__ import annotations
@@ -40,10 +32,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
-from .boolmat import BoolMatrix, MatrixSet, bits, max_weight, row_image
+from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import DimensionError
 
 T = TypeVar("T")
@@ -86,23 +78,17 @@ def note_first_reach(
 
 @dataclass
 class LevelResult:
-    """What a level-order search found and why it stopped: the first reach
-    of each k, the nodes stored, the dominated candidates dropped
-    (``pruned``), the deepest level stored, and either ``exhausted`` (no
-    new node at the last level) or the ``limit`` that cut it short
-    ("depth", "states" or "profile")."""
+    """What a level-order search did and why it stopped: the nodes stored,
+    the dominated candidates dropped (``pruned``), the deepest level
+    stored, and either ``exhausted`` (no new node at the last level) or the
+    ``limit`` that cut it short ("depth" or "states")."""
 
     n: int
-    krt: dict[int, Reach] = field(default_factory=dict)  # k in [2, n] -> first reach
     explored: int = 0
     pruned: int = 0
     depth_reached: int = 0
     exhausted: bool = False
     limit: str | None = None
-
-    def krt_length(self, k: int) -> int | None:
-        entry = self.krt.get(k)
-        return entry.length if entry else None
 
 
 @dataclass
@@ -170,8 +156,8 @@ def _maximal(
 
 class LevelSearch:
     """Level-order search over hashable keys that stores only the maximal
-    new keys of each level; it runs the semigroup search and the automaton
-    subset search.
+    new keys of each level; it runs the semigroup search and the subset
+    search.
 
     The roots, ``(key, letter)`` pairs with letter -1 for none, form level
     ``depth``; a key at level d has children ``child(key, a)`` at level
@@ -184,8 +170,8 @@ class LevelSearch:
     stored, in discovery order; ``result.pruned`` counts the rest.  Every
     stored key is reached by a shortest word, reproducibly.
 
-    Why this is exact for every monotone target (a row or column of weight
-    k, the all-ones matrix, the full subset): if A <= B entrywise then
+    Why this is exact for every monotone target (the all-ones matrix, a
+    subset of size k, the full subset): if A <= B entrywise then
     AW <= BW for every word W.  By induction on d, every key of length d is
     dominated by some stored key of length <= d: a key of length d + 1 is
     a child of a key of length d, which lies below a stored key K; the same
@@ -281,6 +267,16 @@ class LevelSearch:
             )
 
 
+def require_exact_search(mset: MatrixSet) -> None:
+    """Reject what no exact search of a set takes: a generator with a zero
+    row or column, or more than ``EXACT_SEARCH_DIMENSION_CAP`` states."""
+    mset.require_nz()
+    if mset.n > EXACT_SEARCH_DIMENSION_CAP:
+        raise DimensionError(
+            f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {mset.n}"
+        )
+
+
 def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMatrix:
     """Left-to-right boolean product of the named generators; empty word -> identity."""
     out = BoolMatrix.identity(mset.n)
@@ -292,33 +288,21 @@ def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMa
 
 
 def explore(
-    mset: MatrixSet,
-    max_depth: int | None = None,
-    max_states: int | None = None,
-    stop_after_profile: bool = False,
+    mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
 ) -> SearchResult:
-    """Exhaustive level-order search of the generated semigroup.
+    """Level-order search of the generated semigroup for the exponent.
 
-    Stops as soon as the all-ones matrix appears (every k-RT entry is fixed
-    by then), when the semigroup is closed (no new products), or when a
-    limit is hit; in the latter case the result is flagged partial via
-    ``limit``.  Non-primitive input is fine: the exponent simply stays None.
-    ``max_depth`` defaults to ``default_max_depth(n)`` and ``max_states``
-    (the most products ever stored, so ``explored <= max_states``) to
-    ``DEFAULT_MAX_STATES``; both must be at least 1.
-
-    ``stop_after_profile`` ends the search once every k-RT entry up to n is
-    known, which can be far shallower than the exponent; the result is then
-    flagged ``limit="profile"`` since the exponent may be missing.
+    Stops as soon as the all-ones matrix appears, when the semigroup is
+    closed (no new products), or when a limit is hit; in the latter case
+    the result is flagged partial via ``limit``.  Non-primitive input is
+    fine: the exponent simply stays None.  ``max_depth`` defaults to
+    ``default_max_depth(n)`` and ``max_states`` (the most products ever
+    stored, so ``explored <= max_states``) to ``DEFAULT_MAX_STATES``; both
+    must be at least 1.
     """
-    mset.require_nz()
+    require_exact_search(mset)
     n = mset.n
-    if n > EXACT_SEARCH_DIMENSION_CAP:
-        raise DimensionError(
-            f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {n}"
-        )
     result = SearchResult(n=n)
-    krt = result.krt
     ones = ((1 << n) - 1,) * n
     images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
     search = LevelSearch(
@@ -332,20 +316,8 @@ def explore(
         DEFAULT_MAX_STATES if max_states is None else max_states,
     )
     keys = search.keys
-    # Stop at the all-ones matrix (every k-RT entry is fixed by then) or, in
-    # profile-only mode, once every k-RT entry is known.  Once the profile
-    # is complete a product is only tested for all-ones.
     for node in search:
-        rows = keys[node]
-        if rows == ones:
+        if keys[node] == ones:
             result.exponent = Reach(result.depth_reached, search.word(node))
-            note_first_reach(krt, n, lambda: result.exponent)
             break
-        if len(krt) < n - 1:
-            note_first_reach(
-                krt, max_weight(n, rows), lambda: Reach(result.depth_reached, search.word(node))
-            )
-            if stop_after_profile and len(krt) == n - 1:
-                result.limit = "profile"
-                break
     return result

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .automata import automata_searches, reached_length
+from .automata import automata_searches, reached_length, set_profile
 from .boolmat import MatrixSet
 from .bounds import (
     bound_b_recursive,
@@ -26,7 +26,6 @@ from .bounds import (
 )
 from .errors import SearchLimitError
 from .heuristic import run_heuristic
-from .semigroup import explore
 
 LONG_HEADER = "n,k,quantity,value,ceil"
 FIG9_HEADER = "n,F_n,B_n,szykula,n3_over_3"
@@ -40,25 +39,12 @@ def format_value(value: Fraction | int) -> str:
     return str(value)
 
 
-def ceil_of(value: Fraction | int) -> int:
-    return math.ceil(value)
-
-
 def long_row(n: int, k: int, quantity: str, value: Fraction | int) -> str:
-    return f"{n},{k},{quantity},{format_value(value)},{ceil_of(value)}"
+    return f"{n},{k},{quantity},{format_value(value)},{math.ceil(value)}"
 
 
 def to_csv(header: str, rows: Iterable[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
-
-
-def _exact_krt(mset: MatrixSet, max_depth=None, max_states=None):
-    result = explore(mset, max_depth, max_states, stop_after_profile=True)
-    for k in range(2, mset.n + 1):
-        if result.krt_length(k) is None:
-            why = result.limit or "semigroup exhausted; set is not primitive"
-            raise SearchLimitError(f"exact rt_{k} not found ({why})")
-    return result
 
 
 def rt_vs_bounds_rows(
@@ -67,13 +53,19 @@ def rt_vs_bounds_rows(
     max_depth=None,
     max_states=None,
 ) -> list[str]:
-    """Exact k-RT of one set next to the generic bounds, k in [2, n]."""
+    """Exact k-RT of one set next to the generic bounds, k in [2, n]; a
+    k not reached is a limit error."""
     n = mset.n
-    result = _exact_krt(mset, max_depth, max_states)
+    result = set_profile(mset, max_depth, max_states)
     f_table = bound_f_table(n, n) if include_f else None
     rows = []
     for k in range(2, n + 1):
-        rows.append(long_row(n, k, "rt", result.krt_length(k)))
+        if result.limit is None and k not in result.krt:
+            raise SearchLimitError(
+                f"exact rt_{k} not found (semigroup exhausted; set is not primitive)"
+            )
+        rt = reached_length(result, result.krt.get(k), f"exact rt_{k}")
+        rows.append(long_row(n, k, "rt", rt))
         if include_f:
             rows.append(long_row(n, k, "F", f_table[k][0]))
         rows.append(long_row(n, k, "B", bound_b_recursive(n, k)))

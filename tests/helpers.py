@@ -148,16 +148,18 @@ def product_levels(mset: MatrixSet) -> tuple[list[set[tuple[int, ...]]], int]:
     return maximal_levels(gens, lambda rows: [row_tuple_product(rows, g) for g in gens])
 
 
-def subset_levels(aut: Automaton) -> tuple[list[set[tuple[int]]], int]:
+def subset_levels(n: int, letters) -> tuple[list[set[tuple[int]]], int]:
     """``maximal_levels`` of the letter preimages of single states, as
-    1-row keys ``(mask,)``; level d holds subsets of length-d words."""
-    n = aut.n
-    dest = [[letter.rows[q].bit_length() - 1 for q in range(n)] for letter in aut.letters]
+    1-row keys ``(mask,)``; level d holds subsets of length-d words.  The
+    preimage of S under a letter is the set of states whose row meets S,
+    read entry by entry."""
 
     def preimages(key):
         (mask,) = key
         return [
-            (sum(1 << q for q in range(n) if (mask >> to[q]) & 1),) for to in dest
+            (sum(1 << i for i in range(n) if any(
+                letter.entry(i, q) for q in range(n) if (mask >> q) & 1)),)
+            for letter in letters
         ]
 
     return maximal_levels([(1 << q,) for q in range(n)], preimages)

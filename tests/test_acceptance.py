@@ -25,11 +25,11 @@ from rendezvous import (
     escape_upper,
     evaluate_escape,
     example_set,
-    explore,
     kari_set,
     lift_bound,
     run_heuristic,
     scan_conjectures,
+    set_profile,
     szykula_bound,
     verify_krt_equality,
     verify_sandwich,
@@ -188,10 +188,10 @@ def test_criterion_07_krt_equality_and_exact_curves():
             assert verify_krt_equality(mset, k).equal
 
     # Exact k-RT curves of the two builtin comparison sets, regenerated by
-    # semigroup search, sit below both bound curves pointwise.
+    # subset search on the generators, sit below both bound curves pointwise.
     for mset in (cpr_set(), kari_set()):
         n = mset.n
-        result = explore(mset, stop_after_profile=True)
+        result = set_profile(mset)
         f_table = bound_f_table(n, n)
         for k in range(2, n + 1):
             rt = result.krt[k].length
@@ -210,7 +210,7 @@ def test_criterion_08_heuristic_dominance():
     for _ in range(5):
         suite.append(random_primitive_set(rng, rng.randint(2, 5), 3))
     for mset in suite:
-        exact = explore(mset, stop_after_profile=True)
+        exact = set_profile(mset)
         assert all(k in exact.krt for k in range(2, mset.n + 1))
         trace = run_heuristic(mset)
         full = (1 << mset.n) - 1

@@ -13,17 +13,20 @@ from rendezvous import (
     example_set,
     kari_set,
     raw_letter_count,
+    set_profile,
     subset_bfs,
     verify_krt_equality,
     verify_sandwich,
     witness_replay,
 )
 from helpers import (
+    entry_max_weight,
     forward_reset_threshold,
     letter_set,
     random_automaton,
     random_nz_set,
     random_primitive_set,
+    undeduplicated_profile,
 )
 
 
@@ -103,7 +106,7 @@ class TestAssociatedAutomaton:
 class TestSubsetBfs:
     def test_example_reset_threshold_two(self):
         aut = associated_automaton(example_set())
-        result = subset_bfs(aut)
+        result = subset_bfs(aut.n, aut.letters)
         assert result.reset_threshold == 2
         # Replaying the reset word must produce an all-ones column.
         prod = witness_replay(letter_set(aut), result.reset.word)
@@ -111,14 +114,14 @@ class TestSubsetBfs:
 
     def test_example_transpose_reset_threshold_three(self):
         aut = associated_automaton(example_set().transposed())
-        result = subset_bfs(aut)
+        result = subset_bfs(aut.n, aut.letters)
         assert result.reset_threshold == 3
         prod = witness_replay(letter_set(aut), result.reset.word)
         assert any(prod.col(j) == 0b111 for j in range(3))
 
     def test_identity_automaton_not_synchronizing(self):
         aut = Automaton(3, (BoolMatrix.identity(3),), ("e",))
-        result = subset_bfs(aut)
+        result = subset_bfs(aut.n, aut.letters)
         assert not result.synchronizing
         assert result.reset is None
         assert result.krt == {}
@@ -126,14 +129,14 @@ class TestSubsetBfs:
     def test_krt_nondecreasing_and_matches_reset(self):
         for mset in (example_set(), cpr_set()):
             aut = associated_automaton(mset)
-            result = subset_bfs(aut)
+            result = subset_bfs(aut.n, aut.letters)
             lengths = [result.krt[k].length for k in range(2, mset.n + 1)]
             assert lengths == sorted(lengths)
             assert result.krt[mset.n].length == result.reset_threshold
 
     def test_krt_witnesses_merge_k_states(self):
         aut = associated_automaton(cpr_set())
-        result = subset_bfs(aut)
+        result = subset_bfs(aut.n, aut.letters)
         mats = letter_set(aut)
         for k, entry in result.krt.items():
             prod = witness_replay(mats, entry.word)
@@ -145,10 +148,40 @@ class TestSubsetBfs:
         while checked < 200:
             n = rng.randint(2, 6)
             aut = random_automaton(rng, n, rng.randint(1, 3))
-            backward = subset_bfs(aut).reset_threshold
+            backward = subset_bfs(aut.n, aut.letters).reset_threshold
             forward = forward_reset_threshold(aut)
             assert backward == forward
             checked += 1
+
+
+class TestSetProfile:
+    def test_row_side_words_are_in_product_order(self):
+        # rt_4 = 2 is met only on the row side (the column side needs 3), and
+        # only the word (1, 0) reaches a weight-4 line; (0, 1) does not.
+        mset = MatrixSet.of([
+            BoolMatrix.from_rows([[0, 0, 1, 0], [1, 0, 0, 0], [1, 1, 1, 0], [0, 0, 0, 1]]),
+            BoolMatrix.from_rows([[0, 0, 1, 1], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+        ])
+        assert subset_bfs(4, mset.generators).krt_length(4) == 3
+        entry = set_profile(mset).krt[4]
+        assert (entry.length, entry.word) == (2, (1, 0))
+        assert entry_max_weight(witness_replay(mset, entry.word).rows) == 4
+        assert entry_max_weight(witness_replay(mset, (0, 1)).rows) < 4
+
+    def test_state_cap_leaves_out_lengths_the_cut_side_could_beat(self):
+        # At a cap of 12 the column side reaches the full set at length 2,
+        # while the row side stops inside level 1 before its weight-6 row
+        # at length 1: rt_6 = 1, so the column side's 2 must not be taken.
+        mset = MatrixSet.of([
+            BoolMatrix(7, (33, 61, 98, 10, 105, 2, 80)),
+            BoolMatrix(7, (99, 88, 58, 27, 112, 6, 95)),
+        ])
+        limited = set_profile(mset, max_states=12)
+        assert limited.limit == "states"
+        assert {k: e.length for k, e in limited.krt.items()} == {2: 1, 3: 1, 4: 1, 5: 1}
+        assert undeduplicated_profile(mset, max_depth=2)[0] == {
+            2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2
+        }
 
 
 class TestVerificationReports:
@@ -215,9 +248,9 @@ class TestVerificationReports:
         rng = random.Random(35)
         for _ in range(25):
             mset = random_primitive_set(rng, rng.randint(2, 4), 2)
-            assert subset_bfs(associated_automaton(mset)).synchronizing
+            assert subset_bfs(mset.n, associated_automaton(mset).letters).synchronizing
             assert subset_bfs(
-                associated_automaton(mset.transposed())
+                mset.n, associated_automaton(mset.transposed()).letters
             ).synchronizing
 
     def test_krt_equality_on_random_primitive_sets(self):

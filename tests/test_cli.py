@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from rendezvous import associated_automaton, automata, cpr_set, kari_set, subset_bfs
+from rendezvous import (
+    associated_automaton, automata, cpr_set, example_set, kari_set, subset_bfs,
+)
 from rendezvous.cli import main
 from helpers import subset_levels
 
@@ -74,10 +76,12 @@ class TestScalarCommands:
     def test_krt_states_limit_named(self, capsys):
         code, out, _ = run(capsys, "krt", "--builtin", "example", "--max-states", "1")
         assert code == 0
-        # The cap holds during the first level too: one product, then stop.
+        # The cap holds during the first level too.  The profile's two subset
+        # searches store one singleton each (length 0), then stop; the
+        # exponent search stores one product (length 1).
         assert out.splitlines() == [
-            "k=2 rt=not-found (states; explored=1, depth=1)",
-            "k=3 rt=not-found (states; explored=1, depth=1)",
+            "k=2 rt=not-found (states; explored=2, depth=0)",
+            "k=3 rt=not-found (states; explored=2, depth=0)",
             "exponent=not-found (states; explored=1, depth=1)",
         ]
 
@@ -86,7 +90,8 @@ class TestScalarCommands:
             capsys, "krt", "--builtin", "example", "--k", "3", "--max-depth", "1"
         )
         assert code == 0
-        assert out == "k=3 rt=not-found (depth; explored=2, depth=1)\n"
+        # explored= is derived in test_set_profile_explored_counts_follow_the_oracle.
+        assert out == "k=3 rt=not-found (depth; explored=8, depth=1)\n"
 
     def test_witness_verifies(self, capsys):
         code, out, _ = run(capsys, "witness", "--n", "10", "--k", "3")
@@ -145,7 +150,8 @@ class TestAutomataCommands:
 
     def test_subset_search_stops_at_the_default_state_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(automata, "DEFAULT_MAX_STATES", 7)
-        assert subset_bfs(associated_automaton(cpr_set())).limit == "states"
+        aut = associated_automaton(cpr_set())
+        assert subset_bfs(aut.n, aut.letters).limit == "states"
         code, out, err = run(capsys, "automata", "rt", "--builtin", "cpr")
         assert (code, err) == (0, "")
         assert out.startswith("aut: rt=not-found (states; explored=7, depth=")
@@ -360,6 +366,10 @@ SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets 
          "aut: not-synchronizing\naut_T: not-synchronizing\n", ""),
         (("scan", "--n-max", "5", "--k-max", "9"), 1, "",
          "domain: --k-max must be in [2, 5], got 9\n"),
+        # Each side of the profile stores 5 of kari's 6 singletons, so no
+        # subset of size 2 is met.
+        (("figure", "fig5", "--builtin", "kari", "--max-states", "5"), 1, "",
+         "limit: exact rt_2 not found within limits (limit=states, explored=10, depth=0)\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
@@ -376,9 +386,24 @@ def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out,
     ],
 )
 def test_depth_limited_explored_counts_follow_the_oracle(mset, transposed, depth, explored):
-    source = mset.transposed() if transposed else mset
-    levels, _ = subset_levels(associated_automaton(source))
+    aut = associated_automaton(mset.transposed() if transposed else mset)
+    levels, _ = subset_levels(aut.n, aut.letters)
     assert sum(map(len, levels[: depth + 1])) == explored
+
+
+@pytest.mark.parametrize(
+    "mset, depth, explored",
+    [
+        (example_set(), 1, 8),  # krt --builtin example --k 3 --max-depth 1
+    ],
+)
+def test_set_profile_explored_counts_follow_the_oracle(mset, depth, explored):
+    # The profile sums the subsets stored on its two sides: the generators'
+    # preimages and those of their transposes.
+    assert explored == sum(
+        sum(map(len, subset_levels(mset.n, source.generators)[0][: depth + 1]))
+        for source in (mset, mset.transposed())
+    )
 
 
 @pytest.mark.parametrize(
@@ -387,6 +412,8 @@ def test_depth_limited_explored_counts_follow_the_oracle(mset, transposed, depth
         ("heuristic", "--builtin", "kari"),
         ("witness", "--n", "10", "--k", "3"),
         ("heuristic", "--mode", "any", "--file", str(DATA / "perm70.set")),
+        ("krt", "--builtin", "kari", "--k", "4"),
+        ("figure", "fig2b"),
     ],
 )
 def test_optimized_interpreter_prints_the_same(argv):

@@ -10,9 +10,9 @@ from rendezvous import (
     NotPrimitiveError,
     cpr_set,
     example_set,
-    explore,
     kari_set,
     run_heuristic,
+    set_profile,
     witness_replay,
 )
 from rendezvous import heuristic, pairgraph, parse_set_file
@@ -38,7 +38,7 @@ def count_calls(monkeypatch, name):
 
 
 def exact_profile(mset):
-    result = explore(mset, stop_after_profile=True)
+    result = set_profile(mset)
     return {k: result.krt[k].length for k in range(2, mset.n + 1)}
 
 

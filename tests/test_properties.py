@@ -1,9 +1,9 @@
 """Property tests, mostly for n in [1, 5]: the weight kernel (up to n = 130,
 past one machine word) and the row-image kernel, the shared level-order
 search behind ``explore`` and ``subset_bfs`` (its stored levels are the
-maximal levels of a pairwise oracle), the bridge between them, the set-file
-round trip and the B and lift tables, against the independent oracles in
-``helpers``."""
+maximal levels of a pairwise oracle), the set profile and the sandwich
+built on them, the set-file round trip and the B and lift tables, against
+the independent oracles in ``helpers``."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +20,10 @@ from rendezvous import (
     is_primitive,
     parse_set_text,
     serialize_set,
+    set_profile,
     subset_bfs,
+    verify_sandwich,
+    witness_replay,
 )
 from rendezvous.boolmat import max_weight, row_image
 from rendezvous.bounds import _lift_grid
@@ -118,8 +121,23 @@ def test_row_image_matches_entry_oracle(mat, mask):
 def test_explore_profile_and_exponent_match_oracle(mset, depth):
     result = explore(mset, max_depth=depth)
     profile, exponent = undeduplicated_profile(mset, max_depth=depth)
-    assert profile_lengths(result) == profile
+    assert profile_lengths(set_profile(mset, max_depth=depth)) == profile
     assert (result.exponent.length if result.exponent else None) == exponent
+
+
+@PROPERTY
+@given(nz_sets(), st.integers(1, 4))
+def test_set_profile_matches_unpruned_oracle_and_replays(mset, depth):
+    oracle, _ = undeduplicated_profile(mset, max_depth=depth)
+    limited = set_profile(mset, max_depth=depth)
+    full = set_profile(mset)
+    assert profile_lengths(limited) == oracle
+    assert {k: length for k, length in profile_lengths(full).items() if length <= depth} == oracle
+    assert full.limit is None
+    for result in (limited, full):
+        for k, entry in result.krt.items():
+            assert len(entry.word) == entry.length
+            assert entry_max_weight(witness_replay(mset, entry.word).rows) >= k
 
 
 @PROPERTY
@@ -173,10 +191,10 @@ def test_explore_levels_are_the_maximal_levels_of_the_oracle(mset):
 @given(automata())
 def test_subset_bfs_levels_are_the_maximal_levels_of_the_oracle(aut):
     with recorded_searches() as searches:
-        result = subset_bfs(aut)
+        result = subset_bfs(aut.n, aut.letters)
     levels = stored_levels(searches[0])
     assert_antichains(levels)
-    oracle, met = subset_levels(aut)
+    oracle, met = subset_levels(aut.n, aut.letters)
     assert levels == oracle
     assert result.pruned == met - result.explored
 
@@ -185,42 +203,68 @@ def test_subset_bfs_levels_are_the_maximal_levels_of_the_oracle(aut):
 @given(automata(min_n=2), st.integers(1, 4))
 def test_subset_bfs_profile_matches_forward_oracle(aut, depth):
     oracle, _ = undeduplicated_profile(letter_set(aut), max_depth=depth)
-    full = profile_lengths(subset_bfs(aut))
+    full = profile_lengths(subset_bfs(aut.n, aut.letters))
     assert {k: length for k, length in full.items() if length <= depth} == oracle
-    assert profile_lengths(subset_bfs(aut, max_depth=depth)) == oracle
+    assert profile_lengths(subset_bfs(aut.n, aut.letters, max_depth=depth)) == oracle
+
+
+@PROPERTY
+@given(nz_sets(max_n=7), st.integers(1, 40))
+def test_set_profile_under_a_state_cap_reports_only_exact_lengths(mset, cap):
+    # A side cut short may hide a shorter length than the other side found.
+    limited = set_profile(mset, max_states=cap)
+    full = profile_lengths(set_profile(mset))
+    assert {k: full[k] for k in limited.krt} == profile_lengths(limited)
+    if limited.limit is None:
+        assert profile_lengths(limited) == full
 
 
 @PROPERTY
 @given(nz_sets(max_n=4, max_m=2))
 def test_set_krt_is_min_over_the_two_automata(mset):
     assume(mset.n >= 2 and is_primitive(mset))
-    exact = explore(mset)
-    aut = subset_bfs(associated_automaton(mset))
-    aut_t = subset_bfs(associated_automaton(mset.transposed()))
-    for k in range(2, mset.n + 1):
-        assert exact.krt_length(k) == min(aut.krt_length(k), aut_t.krt_length(k))
+    aut = subset_bfs(mset.n, associated_automaton(mset).letters)
+    aut_t = subset_bfs(mset.n, associated_automaton(mset.transposed()).letters)
+    theorem = {k: min(aut.krt_length(k), aut_t.krt_length(k)) for k in range(2, mset.n + 1)}
+    exact, _ = undeduplicated_profile(mset, max_depth=max(theorem.values()))
+    assert exact == theorem
+
+
+@PROPERTY
+@given(nz_sets(max_n=4, max_m=2))
+def test_sandwich_fields_match_independent_oracles(mset):
+    assume(mset.n >= 2 and is_primitive(mset))
+    report = verify_sandwich(mset)
+    assert report.rt_aut == forward_reset_threshold(associated_automaton(mset))
+    assert report.rt_aut_transpose == forward_reset_threshold(
+        associated_automaton(mset.transposed())
+    )
+    _, exponent = undeduplicated_profile(mset, max_depth=report.exponent)
+    assert report.exponent == exponent
+    assert report.lower_ok and report.upper_ok
+    assert report.tight == (report.exponent == report.upper)
 
 
 @PROPERTY
 @given(automata(), st.integers(1, 30))
 def test_subset_bfs_never_stores_more_than_max_states(aut, cap):
-    result = subset_bfs(aut, max_states=cap)
+    result = subset_bfs(aut.n, aut.letters, max_states=cap)
     assert result.explored <= cap
     if result.limit == "states":
         assert result.explored == cap
     else:
-        assert result == subset_bfs(aut)
+        assert result == subset_bfs(aut.n, aut.letters)
 
 
 @PROPERTY
 @given(automata(min_n=2))
 def test_subset_bfs_matches_forward_oracle(aut):
-    assert subset_bfs(aut).reset_threshold == forward_reset_threshold(aut)
+    assert subset_bfs(aut.n, aut.letters).reset_threshold == forward_reset_threshold(aut)
 
 
 def test_subset_bfs_one_state_is_reset_by_empty_word():
     aut = Automaton(1, (BoolMatrix.identity(1),), ("a",))
-    result = subset_bfs(aut)
+    result = subset_bfs(aut.n, aut.letters)
     assert result.synchronizing
     assert result.reset == Reach(0, ())
     assert result.krt == {}
@@ -231,7 +275,9 @@ def test_explore_rejects_limits_below_one(limits):
     with pytest.raises(ValueError):
         explore(MatrixSet.of([BoolMatrix.ones(2)]), **limits)
     with pytest.raises(ValueError):
-        subset_bfs(Automaton(1, (BoolMatrix.identity(1),), ("a",)), **limits)
+        subset_bfs(1, (BoolMatrix.identity(1),), **limits)
+    with pytest.raises(ValueError):
+        set_profile(MatrixSet.of([BoolMatrix.ones(2)]), **limits)
 
 
 # A label is one stripped comment line, so it holds no control, space or

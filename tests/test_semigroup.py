@@ -12,6 +12,7 @@ from rendezvous import (
     example_set,
     explore,
     kari_set,
+    set_profile,
     witness_replay,
 )
 from helpers import (
@@ -37,18 +38,18 @@ class TestExplore:
         rng = random.Random(21)
         for _ in range(30):
             mset = random_primitive_set(rng, rng.randint(2, 4), 2)
-            result = explore(mset)
+            result = set_profile(mset)
             assert result.krt[2].length == 1
 
     def test_cpr_rt2_witness_is_first_generator(self):
         # Generator a of the cpr set already has a weight-2 column.
-        result = explore(cpr_set())
+        result = set_profile(cpr_set())
         assert result.krt[2].length == 1
         assert result.krt[2].word == (0,)
 
     def test_profile_nondecreasing_and_first_reach(self):
         for mset in (example_set(), cpr_set()):
-            result = explore(mset)
+            result = set_profile(mset)
             lengths = [result.krt[k].length for k in range(2, mset.n + 1)]
             assert lengths == sorted(lengths)
             for k in range(2, mset.n + 1):
@@ -66,8 +67,8 @@ class TestExplore:
         rng = random.Random(22)
         for _ in range(20):
             mset = random_primitive_set(rng, rng.randint(2, 4), 2)
-            result = explore(mset)
-            assert result.krt[mset.n].length <= result.exponent.length
+            profile = set_profile(mset)
+            assert profile.krt[mset.n].length <= explore(mset).exponent.length
 
     def test_non_primitive_reports_exhaustion(self):
         cycle = BoolMatrix.from_rows([[0, 1], [1, 0]])
@@ -75,7 +76,9 @@ class TestExplore:
         assert result.exponent is None
         assert result.exhausted
         assert result.limit is None
-        assert 2 not in result.krt
+        profile = set_profile(MatrixSet.of([cycle]))
+        assert profile.exhausted and profile.limit is None
+        assert 2 not in profile.krt
 
     def test_depth_limit_flags_partial_result(self):
         result = explore(example_set(), max_depth=2)
@@ -89,9 +92,11 @@ class TestExplore:
         assert result.exponent is None
 
     def test_stop_after_profile(self):
-        result = explore(example_set(), stop_after_profile=True)
+        # The profile alone comes from the subset searches, which stop at
+        # the full set, far shallower than the exponent.
+        result = set_profile(example_set())
         assert profile_lengths(result) == {2: 1, 3: 2}
-        assert result.limit == "profile"
+        assert result.depth_reached < explore(example_set()).exponent.length
 
     def test_dedup_soundness(self):
         rng = random.Random(23)
@@ -99,7 +104,7 @@ class TestExplore:
             mset = random_nz_set(rng, rng.randint(2, 4), rng.randint(1, 3))
             fast = explore(mset, max_depth=4)
             profile, exponent = undeduplicated_profile(mset, max_depth=4)
-            assert profile_lengths(fast) == profile
+            assert profile_lengths(set_profile(mset, max_depth=4)) == profile
             assert (fast.exponent.length if fast.exponent else None) == exponent
 
     def test_default_depth_covers_sandwich(self):
@@ -120,11 +125,11 @@ class TestExplore:
         a = explore(cpr_set())
         b = explore(cpr_set())
         assert a.exponent == b.exponent
-        assert a.krt == b.krt
+        assert set_profile(cpr_set()).krt == set_profile(cpr_set()).krt
 
     def test_cpr_quantities_frozen(self):
+        assert profile_lengths(set_profile(cpr_set())) == {2: 1, 3: 2, 4: 5}
         result = explore(cpr_set())
-        assert profile_lengths(result) == {2: 1, 3: 2, 4: 5}
         assert result.exponent.length == 15
         assert witness_replay(cpr_set(), result.exponent.word).is_all_ones()
 
@@ -134,10 +139,10 @@ class TestExplore:
         from rendezvous import associated_automaton, subset_bfs
 
         kari = kari_set()
-        result = explore(kari, stop_after_profile=True)
+        result = set_profile(kari)
         assert profile_lengths(result) == {2: 1, 3: 2, 4: 5, 5: 6, 6: 10}
-        aut = subset_bfs(associated_automaton(kari))
-        aut_t = subset_bfs(associated_automaton(kari.transposed()))
+        aut = subset_bfs(kari.n, associated_automaton(kari).letters)
+        aut_t = subset_bfs(kari.n, associated_automaton(kari.transposed()).letters)
         for k in range(2, 7):
             assert result.krt[k].length == min(
                 aut.krt_length(k), aut_t.krt_length(k)
@@ -166,8 +171,8 @@ class TestSandwichInvariant:
 
         ex = example_set()
         exp = explore(ex).exponent.length
-        rt = subset_bfs(associated_automaton(ex)).reset_threshold
-        rt_t = subset_bfs(associated_automaton(ex.transposed())).reset_threshold
+        rt = subset_bfs(ex.n, associated_automaton(ex).letters).reset_threshold
+        rt_t = subset_bfs(ex.n, associated_automaton(ex.transposed()).letters).reset_threshold
         assert rt <= exp <= rt + rt_t + ex.n - 1
         assert (rt, exp, rt_t) == (2, 7, 3)
 
@@ -178,8 +183,8 @@ class TestSandwichInvariant:
         for _ in range(25):
             mset = random_primitive_set(rng, rng.randint(2, 4), 2)
             exp = explore(mset).exponent.length
-            rt = subset_bfs(associated_automaton(mset)).reset_threshold
+            rt = subset_bfs(mset.n, associated_automaton(mset).letters).reset_threshold
             rt_t = subset_bfs(
-                associated_automaton(mset.transposed())
+                mset.n, associated_automaton(mset.transposed()).letters
             ).reset_threshold
             assert rt <= exp <= rt + rt_t + mset.n - 1
