@@ -144,16 +144,15 @@ def _bool(flag: bool) -> str:
 def _cmd_check(args) -> int:
     mset = _load_set(args)
     defect = mset.first_non_nz()
-    if defect is None:
-        print("nz: true")
-    else:
+    if defect is not None:
         g_idx, kind, index = defect
         print(f"nz: false (generator {mset.labels[g_idx]} has zero {kind} {index})")
-    print(f"irreducible: {_bool(mset.is_irreducible())}")
-    if defect is not None:
+        print(f"irreducible: {_bool(mset.is_irreducible())}")
         print("primitive: skipped (requires NZ generators)")
         return 0
     report = check_primitivity(mset)
+    print("nz: true")
+    print(f"irreducible: {_bool(report.irreducible)}")
     print(f"primitive: {_bool(report.primitive)}")
     if not report.primitive:
         print(f"certificate: {report.describe()}")

@@ -11,7 +11,16 @@ The product is kept as its columns only, since every step reads columns:
 growing one column, scanning the escaping columns, seeding by column
 weight.  By (PG)^T = G^T P^T, column j of P·G is the ``row_image`` of the
 columns under column j of G, so a letter costs nnz(G), not nnz(P), and
-``final`` is one transpose at the end.
+``final`` is one transpose at the end.  Each generator has a plan: one
+``operator.itemgetter`` picking, for every column j, the product column at
+the lowest one of column j of G, plus the remaining ones of the columns of
+G with more than one.  A letter is then one C-level gather and a
+``row_image`` per such column; permutation-plus-one letters are almost
+pure gathers.
+
+The routing table is ``pairgraph.singleton_distances``: the primitivity
+report's all-singleton table in ``any`` mode, one more BFS to the grown
+column's singleton in ``specific`` mode.  Neither builds the pair digraph.
 
 Prefix weights (rows and columns both; the max weight of P is that of its
 transpose) are tracked letter by letter until some line reaches weight n,
@@ -21,10 +30,11 @@ giving an upper bound on the k-rendezvous time for every k at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .boolmat import BoolMatrix, MatrixSet, max_weight, row_image
 from .errors import NotPrimitiveError
-from .pairgraph import check_primitivity, normalized, singleton_distances
+from .pairgraph import check_primitivity, pair_id, singleton_distances
 from .semigroup import note_first_reach
 
 MODES = ("specific", "any")
@@ -47,6 +57,24 @@ class HeuristicTrace:
         return len(self.word)
 
 
+def _letter_plan(g_cols: tuple[int, ...]):
+    """Gather of each column's lowest source, and the columns with more."""
+    lowest = itemgetter(*[(c & -c).bit_length() - 1 for c in g_cols])
+    return lowest, [(j, c & (c - 1)) for j, c in enumerate(g_cols) if c & (c - 1)]
+
+
+def _times(cols, plan):
+    """Columns of P·G from the columns of P and G's plan."""
+    lowest, rest = plan
+    out = lowest(cols)
+    if not rest:
+        return out
+    out = list(out)
+    for j, mask in rest:
+        out[j] |= row_image(cols, mask)
+    return out
+
+
 def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
     """Run the greedy growth loop on a primitive set.
 
@@ -63,6 +91,9 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
     n = mset.n
     full = (1 << n) - 1
     gen_cols = [g.transpose().rows for g in mset.generators]
+    # At n = 1 the seed column is already full (the one NZ matrix is [1]),
+    # so no plan runs; a one-item itemgetter would return a bare int.
+    plans = [_letter_plan(g_cols) for g_cols in gen_cols]
 
     # Seed: the generator holding the heaviest column, grown at that column.
     seed_weights = [[c.bit_count() for c in g_cols] for g_cols in gen_cols]
@@ -80,7 +111,7 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
     note()
 
     if mode == "specific":
-        distances = singleton_distances(report.pair_digraph, target=(grown, grown))
+        distances = singleton_distances(mset, target=(grown, grown))
     else:
         distances = report.distances
 
@@ -91,13 +122,13 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
         # Primitivity guarantees every pair reaches every singleton, so some
         # column escapes the support at a known distance; ties go to the lowest j.
         _, best_j = min(
-            (distances.dist[normalized(grown, j)], j)
+            (distances.dist[pair_id(n, grown, j)], j)
             for j, col in enumerate(cols)
             if col & ~support
         )
-        labels, endpoint = distances.path_from(normalized(grown, best_j))
+        labels, endpoint = distances.path_from((grown, best_j))
         for g_idx in labels:
-            cols = tuple([row_image(cols, mask) for mask in gen_cols[g_idx]])
+            cols = _times(cols, plans[g_idx])
             word.append(g_idx)
             note()
         if mode == "any":
@@ -109,7 +140,7 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
 
     return HeuristicTrace(
         word=tuple(word),
-        final=BoolMatrix(n, cols).transpose(),
+        final=BoolMatrix(n, tuple(cols)).transpose(),
         column_index=grown,
         per_k_length=per_k,
         mode=mode,

@@ -8,15 +8,19 @@ irreducible set is primitive exactly when every pair vertex can reach some
 singleton, and walking such a path yields a product merging the two states
 into one column.
 
-The reverse adjacency, which every backward BFS from the singletons reads,
-is built once per digraph in the same pass as the adjacency.  The
-primitivity report carries the digraph and its all-singleton distance
-table, so callers that need either (the heuristic) do not build them again.
+``build_pair_digraph`` is the explicit, inspectable digraph.  The backward
+BFS from the singletons (``singleton_distances``) builds no digraph: the
+predecessors of a pair {x, y} under A are the pairs {p, q} with p in
+column x of A and q in column y, so it reads them straight off the
+generators' columns, AND-ed with one "unvisited" bit row per state, which
+yields only the pairs not reached yet.  Pair {i, j} (i <= j) has id
+``i*n + j``, and the table is flat lists indexed by that id.  The
+primitivity report carries the all-singleton table, so callers that need it
+(the heuristic) do not run that BFS again.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .boolmat import MatrixSet, bits
@@ -29,6 +33,11 @@ def normalized(i: int, j: int) -> Vertex:
     return (i, j) if i <= j else (j, i)
 
 
+def pair_id(n: int, i: int, j: int) -> int:
+    """Flat id ``i*n + j`` of the pair {i, j}, taken with i <= j."""
+    return i * n + j if i <= j else j * n + i
+
+
 def pair_vertices(n: int) -> list[Vertex]:
     """All pair vertices in row-major order; there are n(n+1)/2 of them."""
     return [(i, j) for i in range(n) for j in range(i, n)]
@@ -39,9 +48,6 @@ class PairDigraph:
     n: int
     # vertex -> ((successor, generator index), ...) in deterministic order
     adjacency: dict[Vertex, tuple[tuple[Vertex, int], ...]]
-    # vertex -> [(predecessor, generator index), ...] sorted, built with
-    # ``adjacency``; determined by it, so left out of comparison and repr
-    reverse: dict[Vertex, list[tuple[Vertex, int]]] = field(compare=False, repr=False)
 
     def vertices(self) -> list[Vertex]:
         return pair_vertices(self.n)
@@ -51,81 +57,100 @@ class PairDigraph:
 
 
 def build_pair_digraph(mset: MatrixSet) -> PairDigraph:
-    """Construct the labeled pair digraph of an NZ matrix set.
-
-    The reverse adjacency is filled in the same pass.  Vertices are visited
-    in row-major order and generators in index order, so each predecessor
-    list comes out sorted by (predecessor, generator).
-    """
+    """Construct the labeled pair digraph of an NZ matrix set."""
     mset.require_nz()
-    n = mset.n
     positions = [[list(bits(row)) for row in g.rows] for g in mset.generators]
     adjacency: dict[Vertex, tuple[tuple[Vertex, int], ...]] = {}
-    vertices = pair_vertices(n)
-    reverse: dict[Vertex, list[tuple[Vertex, int]]] = {v: [] for v in vertices}
-    for u in vertices:
+    for u in pair_vertices(mset.n):
         i, j = u
         edges: list[tuple[Vertex, int]] = []
         for g_idx, rows in enumerate(positions):
             succs = {normalized(x, y) for x in rows[i] for y in rows[j]}
-            for succ in sorted(succs):
-                edges.append((succ, g_idx))
-                reverse[succ].append((u, g_idx))
+            edges.extend((succ, g_idx) for succ in sorted(succs))
         adjacency[u] = tuple(edges)
-    return PairDigraph(n, adjacency, reverse)
+    return PairDigraph(mset.n, adjacency)
 
 
 @dataclass
 class DistanceTable:
-    """Shortest distances from every vertex to a singleton, with next hops.
+    """Shortest distances from every pair to a singleton, with next hops.
 
-    ``target`` is None for the nearest-singleton variant.  Vertices that
-    cannot reach the goal are simply absent from ``dist``.
+    ``target`` is None for the nearest-singleton variant.  The lists are
+    indexed by pair id (``pair_id``): ``dist`` is None for a pair that
+    cannot reach the goal (and for ids i*n + j with i > j, which name no
+    pair); ``label`` and ``succ`` give the generator and the pair id of the
+    first edge of a shortest path.
     """
 
     n: int
     target: Vertex | None
-    dist: dict[Vertex, int]
-    next_hop: dict[Vertex, tuple[int, Vertex]]  # vertex -> (label, successor)
+    dist: list[int | None]
+    label: list[int]
+    succ: list[int]
 
     def path_from(self, source: Vertex) -> tuple[list[int], Vertex]:
         """Edge labels of a shortest path from ``source`` plus the singleton hit."""
-        if source not in self.dist:
+        v = pair_id(self.n, *source)
+        if self.dist[v] is None:
             raise UnreachableVertexError(source, self.target)
         word: list[int] = []
-        v = source
-        while v in self.next_hop:
-            label, succ = self.next_hop[v]
-            word.append(label)
-            v = succ
-        return word, v
+        for _ in range(self.dist[v]):
+            word.append(self.label[v])
+            v = self.succ[v]
+        return word, divmod(v, self.n)
 
 
-def singleton_distances(pd: PairDigraph, target: Vertex | None = None) -> DistanceTable:
-    """Backward BFS over reversed edges from the singletons (or one of them).
+def singleton_distances(mset: MatrixSet, target: Vertex | None = None) -> DistanceTable:
+    """Backward BFS over the pair digraph from the singletons (or one of them).
 
-    Queue order is deterministic: sources seeded in row-major order, reverse
-    edges scanned in (row-major predecessor, generator) order.
+    Queue order is deterministic: sources seeded in row-major order; the
+    new predecessors of a dequeued pair are appended in row-major order,
+    each labeled with the lowest generator that reaches the pair.
     """
     if target is not None and target[0] != target[1]:
         raise ValueError(f"target {target} is not a singleton")
-    rev = pd.reverse
-    dist: dict[Vertex, int] = {}
-    next_hop: dict[Vertex, tuple[int, Vertex]] = {}
-    sources = [target] if target is not None else pd.singletons()
-    queue: deque[Vertex] = deque()
-    for s in sources:
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        v = queue.popleft()
+    mset.require_nz()
+    n = mset.n
+    # column x of A as a mask and as its bit positions: the p with A(p, x) = 1
+    letters = [
+        (cols, [list(bits(c)) for c in cols])
+        for cols in (g.transpose().rows for g in mset.generators)
+    ]
+    dist: list[int | None] = [None] * (n * n)
+    label = [-1] * (n * n)
+    succ = [-1] * (n * n)
+    # bit q of unvisited[p] is set while the pair {p, q} is unreached
+    unvisited = [(1 << n) - 1] * n
+    queue = []
+    for s in [target[0]] if target is not None else range(n):
+        dist[s * n + s] = 0
+        unvisited[s] ^= 1 << s
+        queue.append(s * n + s)
+    for v in queue:  # grows while it is read
+        x, y = divmod(v, n)
         d = dist[v] + 1
-        for u, label in rev[v]:
-            if u not in dist:
-                dist[u] = d
-                next_hop[u] = (label, v)
-                queue.append(u)
-    return DistanceTable(pd.n, target, dist, next_hop)
+        found = []
+        for g_idx, (cols, positions) in enumerate(letters):
+            col_y = cols[y]
+            for p in positions[x]:
+                new = col_y & unvisited[p]
+                if not new:
+                    continue
+                unvisited[p] ^= new
+                keep = ~(1 << p)
+                while new:
+                    low = new & -new
+                    q = low.bit_length() - 1
+                    new ^= low
+                    unvisited[q] &= keep
+                    found.append((pair_id(n, p, q), g_idx))
+        found.sort()
+        for u, g_idx in found:
+            dist[u] = d
+            label[u] = g_idx
+            succ[u] = v
+            queue.append(u)
+    return DistanceTable(n, target, dist, label, succ)
 
 
 @dataclass(frozen=True)
@@ -136,17 +161,16 @@ class MergingWord:
 
 
 def merging_word(
-    pd: PairDigraph, source: Vertex, target: Vertex | None = None
+    mset: MatrixSet, source: Vertex, target: Vertex | None = None
 ) -> MergingWord:
     """Shortest labeled path from ``source`` to a singleton.
 
-    Walking the word from the source along the digraph ends at the returned
-    singleton; replaying it as a matrix product merges the two source states
-    into that singleton's column.
+    Walking the word from the source along the pair digraph ends at the
+    returned singleton; replaying it as a matrix product merges the two
+    source states into that singleton's column.
     """
     source = normalized(*source)
-    table = singleton_distances(pd, target)
-    word, end = table.path_from(source)
+    word, end = singleton_distances(mset, target).path_from(source)
     return MergingWord(source, end, tuple(word))
 
 
@@ -158,9 +182,7 @@ class PrimitivityReport:
     unmergeable_pair: Vertex | None = None
     # states (i, j) with no path i -> j in the union digraph (when reducible)
     reducibility_witness: tuple[int, int] | None = None
-    # the pair digraph the test built (absent for reducible sets), for reuse
-    pair_digraph: PairDigraph | None = field(default=None, compare=False, repr=False)
-    # its all-singleton distance table (absent for reducible sets), for reuse
+    # the all-singleton distance table (absent for reducible sets), for reuse
     distances: DistanceTable | None = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
@@ -178,7 +200,8 @@ def check_primitivity(mset: MatrixSet) -> PrimitivityReport:
 
     Reducible sets are rejected immediately (the criterion needs
     irreducibility); otherwise the set is primitive iff every pair vertex
-    reaches some singleton.
+    reaches some singleton.  The certificate is the first unreached pair in
+    row-major order.
     """
     mset.require_nz()
     witness = mset.reducibility_witness()
@@ -186,18 +209,18 @@ def check_primitivity(mset: MatrixSet) -> PrimitivityReport:
         return PrimitivityReport(
             primitive=False, irreducible=False, reducibility_witness=witness
         )
-    pd = build_pair_digraph(mset)
-    table = singleton_distances(pd)
-    for v in pd.vertices():
-        if v not in table.dist:
+    table = singleton_distances(mset)
+    n = mset.n
+    for i in range(n):
+        row = table.dist[i * n + i : i * n + n]
+        if None in row:
             return PrimitivityReport(
                 primitive=False,
                 irreducible=True,
-                unmergeable_pair=v,
-                pair_digraph=pd,
+                unmergeable_pair=(i, i + row.index(None)),
                 distances=table,
             )
-    return PrimitivityReport(primitive=True, irreducible=True, pair_digraph=pd, distances=table)
+    return PrimitivityReport(primitive=True, irreducible=True, distances=table)
 
 
 def is_primitive(mset: MatrixSet) -> bool:

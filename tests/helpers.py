@@ -8,6 +8,7 @@ an independent route, not against itself.
 from __future__ import annotations
 
 import random
+from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest.mock import patch
@@ -262,6 +263,57 @@ def brute_force_primitive(mset: MatrixSet, cap: int = 500_000) -> bool:
     full = (1 << mset.n) - 1
     target = tuple(full for _ in range(mset.n))
     return target in semigroup_closure(mset, cap)
+
+
+def reverse_bfs(reverse, sources):
+    """Dict-based BFS over reversed pair-digraph edges from ``sources``, in
+    the program's queue order: sources as given, each vertex's predecessor
+    list as given.  Returns ``dist`` (vertex -> distance) and ``next_hop``
+    (vertex -> (label, successor))."""
+    dist = {s: 0 for s in sources}
+    next_hop = {}
+    queue = deque(sources)
+    while queue:
+        v = queue.popleft()
+        for u, label in reverse[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                next_hop[u] = (label, v)
+                queue.append(u)
+    return dist, next_hop
+
+
+def pair_distances_oracle(mset: MatrixSet, target=None):
+    """Distances to the singletons (or to ``target``) over the pair digraph,
+    whose reverse adjacency is built from the entry condition: (i, j) -> (a, b)
+    under g iff g(i,a) g(j,b) or g(i,b) g(j,a).  Predecessor lists come out in
+    (row-major pair, generator) order."""
+    n = mset.n
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    reverse = {v: [] for v in pairs}
+    for i, j in pairs:
+        for g_idx, g in enumerate(mset.generators):
+            row_i = [a for a in range(n) if g.entry(i, a)]
+            row_j = [b for b in range(n) if g.entry(j, b)]
+            for v in sorted({(min(a, b), max(a, b)) for a in row_i for b in row_j}):
+                reverse[v].append(((i, j), g_idx))
+    sources = [target] if target is not None else [(s, s) for s in range(n)]
+    return reverse_bfs(reverse, sources)
+
+
+def reached(table) -> dict[tuple[int, int], int]:
+    """A flat ``DistanceTable``'s distances as vertex -> distance, reached
+    pairs only."""
+    return {divmod(v, table.n): d for v, d in enumerate(table.dist) if d is not None}
+
+
+def oracle_path(next_hop, source):
+    """Labels and endpoint of the oracle's shortest path from ``source``."""
+    word, v = [], source
+    while v in next_hop:
+        label, v = next_hop[v]
+        word.append(label)
+    return word, v
 
 
 def forward_reset_threshold(aut: Automaton, max_depth: int = 200) -> int | None:

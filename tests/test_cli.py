@@ -412,6 +412,8 @@ def test_set_profile_explored_counts_follow_the_oracle(mset, depth, explored):
         ("heuristic", "--builtin", "kari"),
         ("witness", "--n", "10", "--k", "3"),
         ("heuristic", "--mode", "any", "--file", str(DATA / "perm70.set")),
+        ("heuristic", "--mode", "specific", "--file", str(DATA / "perm70.set")),
+        ("check", "--file", str(DATA / "perm70.set")),
         ("krt", "--builtin", "kari", "--k", "4"),
         ("figure", "fig2b"),
     ],

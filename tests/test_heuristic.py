@@ -84,10 +84,13 @@ class TestTrace:
             assert trace.iterations <= mset.n - 1
 
 
-    def test_pair_digraph_built_once(self, monkeypatch):
+    def test_heuristic_builds_no_pair_digraph(self, monkeypatch):
+        # Both the primitivity test and the routing tables read the pair
+        # digraph's edges straight off the generators' columns.
         calls = count_calls(monkeypatch, "build_pair_digraph")
-        run_heuristic(kari_set())
-        assert len(calls) == 1
+        for mode in ("specific", "any"):
+            run_heuristic(kari_set(), mode=mode)
+        assert calls == []
 
     def test_any_mode_reuses_the_primitivity_distances(self, monkeypatch):
         # The primitivity test's BFS is the nearest-singleton table that

@@ -15,11 +15,18 @@ from rendezvous import (
     kari_set,
     merging_word,
     PrimitivityReport,
+    pair_id,
     pair_vertices,
     singleton_distances,
     witness_replay,
 )
-from helpers import brute_force_primitive, random_nz_set, random_primitive_set
+from helpers import (
+    brute_force_primitive,
+    random_nz_set,
+    random_primitive_set,
+    reached,
+    reverse_bfs,
+)
 
 
 def cycle_set(n):
@@ -82,7 +89,9 @@ class TestBuild:
             target = ((s + 1) % 4, (s + 1) % 4)
             assert succs[0] == (target, 0)
 
-    def test_reverse_is_the_sorted_reversal_of_adjacency(self):
+    def test_bfs_follows_the_reversal_of_adjacency(self):
+        # The BFS reads predecessors off the generators' columns; they must be
+        # the explicit digraph's edges reversed, in (pair, generator) order.
         rng = random.Random(15)
         sets = [example_set(), cpr_set(), kari_set(), cycle_set(5)]
         sets += [random_nz_set(rng, rng.randint(1, 7), rng.randint(1, 3)) for _ in range(30)]
@@ -92,7 +101,12 @@ class TestBuild:
             for u, succs in pd.adjacency.items():
                 for v, g_idx in succs:
                     reversal[v].append((u, g_idx))
-            assert pd.reverse == {v: sorted(preds) for v, preds in reversal.items()}
+            dist, next_hop = reverse_bfs(reversal, pd.singletons())
+            table = singleton_distances(mset)
+            assert reached(table) == dist
+            for (i, j), (label, (a, b)) in next_hop.items():
+                v = pair_id(mset.n, i, j)
+                assert (table.label[v], table.succ[v]) == (label, pair_id(mset.n, a, b))
 
     def test_non_nz_rejected_with_generator_name(self):
         bad = MatrixSet.of(
@@ -107,68 +121,63 @@ class TestBuild:
 
 class TestDistances:
     def test_singletons_at_distance_zero(self):
-        pd = build_pair_digraph(example_set())
-        table = singleton_distances(pd)
+        dist = reached(singleton_distances(example_set()))
         for s in range(3):
-            assert table.dist[(s, s)] == 0
+            assert dist[(s, s)] == 0
 
     def test_permutation_pairs_unreachable(self):
         for n in range(2, 6):
-            pd = build_pair_digraph(cycle_set(n))
-            table = singleton_distances(pd)
-            for (i, j) in pd.vertices():
-                assert ((i, j) in table.dist) == (i == j)
+            dist = reached(singleton_distances(cycle_set(n)))
+            for (i, j) in pair_vertices(n):
+                assert ((i, j) in dist) == (i == j)
 
     def test_example_distances_match_oracle(self):
         ex = example_set()
-        pd = build_pair_digraph(ex)
-        table = singleton_distances(pd)
+        table = singleton_distances(ex)
         oracle = bfs_oracle_distances(
             oracle_edges(ex), 3, [(s, s) for s in range(3)]
         )
-        assert table.dist == oracle
-        assert all((i, j) in table.dist for (i, j) in pd.vertices())
+        assert reached(table) == oracle
+        assert set(oracle) == set(pair_vertices(3))
 
     def test_targeted_distances_match_oracle(self):
         ex = example_set()
-        pd = build_pair_digraph(ex)
         for s in range(3):
-            table = singleton_distances(pd, target=(s, s))
+            table = singleton_distances(ex, target=(s, s))
             oracle = bfs_oracle_distances(oracle_edges(ex), 3, [(s, s)])
-            assert table.dist == oracle
+            assert reached(table) == oracle
 
     def test_non_singleton_target_rejected(self):
-        pd = build_pair_digraph(example_set())
         with pytest.raises(ValueError):
-            singleton_distances(pd, target=(0, 1))
+            singleton_distances(example_set(), target=(0, 1))
 
 
 class TestMergingWord:
     def test_singleton_source_gives_empty_word(self):
-        pd = build_pair_digraph(example_set())
-        word = merging_word(pd, (1, 1))
+        word = merging_word(example_set(), (1, 1))
         assert word.word == ()
         assert word.target == (1, 1)
 
     def test_example_word_length_is_bfs_distance(self):
-        pd = build_pair_digraph(example_set())
-        table = singleton_distances(pd)
-        word = merging_word(pd, (0, 1))
-        assert len(word.word) == table.dist[(0, 1)]
+        table = singleton_distances(example_set())
+        word = merging_word(example_set(), (0, 1))
+        assert len(word.word) == reached(table)[(0, 1)]
 
     def test_word_walks_real_edges(self):
         rng = random.Random(11)
         for _ in range(20):
             mset = random_primitive_set(rng, rng.randint(2, 5), 2)
             pd = build_pair_digraph(mset)
-            table = singleton_distances(pd)
+            table = singleton_distances(mset)
+            dist = reached(table)
             for source in pd.vertices():
-                merged = merging_word(pd, source)
-                assert len(merged.word) == table.dist[source]
+                merged = merging_word(mset, source)
+                assert len(merged.word) == dist[source]
                 v = source
                 for g in merged.word:
-                    label, succ = table.next_hop[v]
-                    assert label == g
+                    hop = pair_id(mset.n, *v)
+                    succ = divmod(table.succ[hop], mset.n)
+                    assert table.label[hop] == g
                     assert (succ, g) in pd.adjacency[v]
                     v = succ
                 assert v == merged.target
@@ -180,9 +189,8 @@ class TestMergingWord:
         rng = random.Random(12)
         for _ in range(15):
             mset = random_primitive_set(rng, rng.randint(2, 5), 2)
-            pd = build_pair_digraph(mset)
-            for (i, j) in pd.vertices():
-                merged = merging_word(pd, (i, j))
+            for (i, j) in pair_vertices(mset.n):
+                merged = merging_word(mset, (i, j))
                 k = merged.target[0]
                 tail = witness_replay(mset, merged.word)
                 for a in mset.generators:
@@ -192,18 +200,16 @@ class TestMergingWord:
 
     def test_targeted_word_reaches_requested_singleton(self):
         ex = example_set()
-        pd = build_pair_digraph(ex)
         for s in range(3):
-            table = singleton_distances(pd, target=(s, s))
-            for source in pd.vertices():
-                merged = merging_word(pd, source, target=(s, s))
+            dist = reached(singleton_distances(ex, target=(s, s)))
+            for source in pair_vertices(3):
+                merged = merging_word(ex, source, target=(s, s))
                 assert merged.target == (s, s)
-                assert len(merged.word) == table.dist[source]
+                assert len(merged.word) == dist[source]
 
     def test_unreachable_raises_with_source(self):
-        pd = build_pair_digraph(cycle_set(3))
         with pytest.raises(UnreachableVertexError) as err:
-            merging_word(pd, (0, 1))
+            merging_word(cycle_set(3), (0, 1))
         assert err.value.source == (0, 1)
 
 
@@ -221,14 +227,13 @@ class TestPrimitivity:
         assert report.irreducible
         assert report.unmergeable_pair is not None
 
-    def test_report_carries_digraph_outside_comparison(self):
+    def test_report_carries_distances_outside_comparison(self):
         report = check_primitivity(cpr_set())
-        assert report.pair_digraph.adjacency == build_pair_digraph(cpr_set()).adjacency
-        table = singleton_distances(build_pair_digraph(cpr_set()))
-        assert (report.distances.dist, report.distances.next_hop) == (table.dist, table.next_hop)
+        assert report.distances == singleton_distances(cpr_set())
         assert report.distances.target is None
+        assert not hasattr(report, "pair_digraph")
         assert report == PrimitivityReport(primitive=True, irreducible=True)
-        assert "pair_digraph" not in repr(report) and "distances" not in repr(report)
+        assert "distances" not in repr(report)
 
     def test_reducible_reports_witness(self):
         upper = BoolMatrix.from_rows([[1, 1], [0, 1]])
@@ -259,7 +264,6 @@ class TestPrimitivity:
         for _ in range(40):
             n = rng.randint(2, 6)
             mset = random_primitive_set(rng, n, 2)
-            pd = build_pair_digraph(mset)
-            table = singleton_distances(pd)
+            table = singleton_distances(mset)
             bound = n * (n + 1) // 2 - n
-            assert max(table.dist.values()) <= bound
+            assert max(reached(table).values()) <= bound

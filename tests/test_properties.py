@@ -2,8 +2,14 @@
 past one machine word) and the row-image kernel, the shared level-order
 search behind ``explore`` and ``subset_bfs`` (its stored levels are the
 maximal levels of a pairwise oracle), the set profile and the sandwich
-built on them, the set-file round trip and the B and lift tables, against
-the independent oracles in ``helpers``."""
+built on them, the pair-digraph BFS and the primitivity certificate (n up
+to 9), the set-file round trip and the B and lift tables, against the
+independent oracles in ``helpers``."""
+
+import io
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,18 +19,26 @@ from rendezvous import (
     BoolMatrix,
     MatrixSet,
     Reach,
+    UnreachableVertexError,
     associated_automaton,
     bound_b_closed,
     bound_b_recursive,
+    cpr_set,
+    example_set,
     explore,
     is_primitive,
+    kari_set,
+    pair_vertices,
+    parse_set_file,
     parse_set_text,
     serialize_set,
     set_profile,
+    singleton_distances,
     subset_bfs,
     verify_sandwich,
     witness_replay,
 )
+from rendezvous.cli import main
 from rendezvous.boolmat import max_weight, row_image
 from rendezvous.bounds import _lift_grid
 from helpers import (
@@ -33,13 +47,18 @@ from helpers import (
     forward_reset_threshold,
     letter_set,
     lift_table_oracle,
+    oracle_path,
+    pair_distances_oracle,
     product_levels,
+    reached,
     recorded_searches,
     semigroup_closure,
     stored_levels,
     subset_levels,
     undeduplicated_profile,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # Fixed example sequences and no example database: the suite stays
 # deterministic and leaves no files behind.
@@ -306,3 +325,85 @@ def test_b_closed_form_equals_recursion(nk):
 def test_lift_grid_column_matches_scalar_oracle(nk):
     n, k = nk
     assert _lift_grid(n, k)[: k + 1, k].tolist() == [0, 0] + lift_table_oracle(n, k)
+
+
+def assert_pair_bfs_matches_oracle(mset, targets):
+    for target in targets:
+        table = singleton_distances(mset, target)
+        dist, next_hop = pair_distances_oracle(mset, target)
+        assert reached(table) == dist
+        for v in pair_vertices(mset.n):
+            if v in dist:
+                assert table.path_from(v) == oracle_path(next_hop, v)
+            else:
+                with pytest.raises(UnreachableVertexError):
+                    table.path_from(v)
+
+
+@PROPERTY
+@given(nz_sets(max_n=9))
+def test_pair_bfs_matches_dict_oracle(mset):
+    # Every distance, shortest-path word and endpoint, for the all-singleton
+    # table and every singleton target; non-primitive sets included.
+    assert_pair_bfs_matches_oracle(mset, [None] + [(s, s) for s in range(mset.n)])
+
+
+@pytest.mark.parametrize(
+    "mset, targets",
+    [
+        (example_set(), None),
+        (cpr_set(), None),
+        (kari_set(), None),
+        (parse_set_file(DATA / "perm70.set"), [None, (0, 0), (35, 35), (69, 69)]),
+    ],
+    ids=["example", "cpr", "kari", "perm70"],
+)
+def test_pair_bfs_matches_dict_oracle_on_fixed_sets(mset, targets):
+    if targets is None:
+        targets = [None] + [(s, s) for s in range(mset.n)]
+    assert_pair_bfs_matches_oracle(mset, targets)
+
+
+@st.composite
+def cyclic_block_sets(draw):
+    """Irreducible, non-primitive NZ sets: states in b >= 2 blocks (state k in
+    block k mod b, relabelled by a drawn permutation), every generator a
+    bijection of each block onto the next plus drawn ones inside the next
+    block.  The first generator's bijection is the n-cycle k -> k + 1."""
+    b = draw(st.integers(2, 3))
+    n = b * draw(st.integers(1, 3))
+    relabel = draw(st.permutations(range(n)))
+    generators = []
+    for g_idx in range(draw(st.integers(1, 3))):
+        rows = [0] * n
+        for t in range(b):
+            sources = list(range(t, n, b))
+            block = list(range((t + 1) % b, n, b))
+            if t == b - 1:
+                block = block[1:] + block[:1]
+            images = block if g_idx == 0 else draw(st.permutations(block))
+            for k, image in zip(sources, images):
+                extra = draw(st.lists(st.sampled_from(block), max_size=2))
+                for col in [image, *extra]:
+                    rows[relabel[k]] |= 1 << relabel[col]
+        generators.append(BoolMatrix(n, tuple(rows)))
+    return MatrixSet.of(generators)
+
+
+@PROPERTY
+@given(cyclic_block_sets())
+def test_check_certificate_is_the_first_unreached_pair(mset):
+    dist, _ = pair_distances_oracle(mset)
+    i, j = next(v for v in pair_vertices(mset.n) if v not in dist)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cyclic.set"
+        path.write_text(serialize_set(mset))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["check", "--file", str(path)]) == 0
+    assert out.getvalue().splitlines() == [
+        "nz: true",
+        "irreducible: true",
+        "primitive: false",
+        f"certificate: pair ({i},{j}) reaches no singleton",
+    ]
