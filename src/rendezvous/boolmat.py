@@ -5,9 +5,12 @@ as one Python int per row, with bit ``j`` of ``rows[i]`` holding entry
 ``(i, j)``.  Row-level operations (products, supports, weights) are then
 word-parallel bit operations.  Whole-matrix column data (weights, supports,
 backward reachability) comes from one ``transpose()``; ``col(j)`` reads a
-single column.  ``max_weight`` is the one max row/column weight kernel; it
+single column.  ``max_column_weight`` is the one column-count kernel: it
 counts columns with bit-sliced counters (one int per bit of the count), so
 a row costs a few word-parallel operations, not one step per set bit.
+``max_weight``, the max row or column weight, is that count beside the
+rows' ``bit_count``; the heuristic, which bounds its row side, calls the
+column count alone.
 ``row_image`` is the one "OR of rows over a mask's support" kernel: a
 product row, a memoized child row in the semigroup search, a subset
 preimage in the subset search and a column of the heuristic's product
@@ -44,8 +47,8 @@ def row_image(rows: tuple[int, ...], mask: int) -> int:
     return acc
 
 
-def max_weight(n: int, rows: tuple[int, ...]) -> int:
-    """Largest row or column weight of the n x n matrix with bit rows ``rows``.
+def max_column_weight(n: int, rows: tuple[int, ...]) -> int:
+    """Largest column weight of the n x n matrix with bit rows ``rows``.
 
     Column counts are bit-sliced: bit j of ``planes[b]`` is bit b of column
     j's count, and each row is added by a carry-save add across the planes.
@@ -70,7 +73,12 @@ def max_weight(n: int, rows: tuple[int, ...]) -> int:
         if live & plane:
             live &= plane
             count |= 1
-    return max(count, max(map(int.bit_count, rows)))
+    return count
+
+
+def max_weight(n: int, rows: tuple[int, ...]) -> int:
+    """Largest row or column weight of the n x n matrix with bit rows ``rows``."""
+    return max(max_column_weight(n, rows), max(map(int.bit_count, rows)))
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,24 @@ G with more than one.  A letter is then one C-level gather and a
 ``row_image`` per such column; permutation-plus-one letters are almost
 pure gathers.
 
-The routing table is ``pairgraph.singleton_distances``: the primitivity
-report's all-singleton table in ``any`` mode, one more BFS to the grown
-column's singleton in ``specific`` mode.  Neither builds the pair digraph.
+The routing table is the primitivity report's ``pairgraph`` BFS table,
+and neither mode builds the pair digraph.  ``any`` mode routes by the
+all-singleton table.  ``specific`` mode runs the one BFS to the grown
+column's singleton: in a primitive set every pair reaches every singleton,
+so that table alone proves primitivity and routes the rounds.
 
 Prefix weights (rows and columns both; the max weight of P is that of its
 transpose) are tracked letter by letter until some line reaches weight n,
-giving an upper bound on the k-rendezvous time for every k at once.
+giving an upper bound on the k-rendezvous time for every k at once.  A
+prefix is weighed only where its letter can raise the largest weight
+reached so far, ``len(per_k) + 1``.  On the column side that is exact and
+cheap: the columns outside the plan's remainders are copies of columns of
+P, so only the recomputed ones are counted.  On the row side, for NZ G,
+|row_i(PG)| <= |row_i(P)| + nnz(G) - n, so an upper bound on P's max row
+weight grows by the letter's excess nnz(G) - n; the rows are counted
+(``max_column_weight`` over the columns) only when that bound passes the
+largest weight, which resets the bound to the exact count.  Permutation
+letters have no excess and never trigger a row count.
 """
 
 from __future__ import annotations
@@ -32,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .boolmat import BoolMatrix, MatrixSet, max_weight, row_image
+from .boolmat import BoolMatrix, MatrixSet, max_column_weight, row_image
 from .errors import NotPrimitiveError
-from .pairgraph import check_primitivity, pair_id, singleton_distances
+from .pairgraph import check_primitivity, pair_id
 from .semigroup import note_first_reach
 
 MODES = ("specific", "any")
@@ -85,15 +96,9 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    report = check_primitivity(mset)
-    if not report.primitive:
-        raise NotPrimitiveError(report.describe(), report)
     n = mset.n
     full = (1 << n) - 1
     gen_cols = [g.transpose().rows for g in mset.generators]
-    # At n = 1 the seed column is already full (the one NZ matrix is [1]),
-    # so no plan runs; a one-item itemgetter would return a bare int.
-    plans = [_letter_plan(g_cols) for g_cols in gen_cols]
 
     # Seed: the generator holding the heaviest column, grown at that column.
     seed_weights = [[c.bit_count() for c in g_cols] for g_cols in gen_cols]
@@ -101,19 +106,31 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
     grown = seed_weights[seed_idx].index(max(seed_weights[seed_idx]))
     cols = gen_cols[seed_idx]
 
+    report = check_primitivity(mset, (grown, grown) if mode == "specific" else None)
+    if not report.primitive:
+        raise NotPrimitiveError(report.describe(), report)
+    distances = report.distances
+    # At n = 1 the seed column is already full (the one NZ matrix is [1]),
+    # so no plan runs; a one-item itemgetter would return a bare int.
+    plans = [_letter_plan(g_cols) for g_cols in gen_cols]
+    # nnz(G) - n: the ones of G's columns past their lowest.
+    excess = [sum(mask.bit_count() for _, mask in rest) for _, rest in plans]
+
     word: list[int] = [seed_idx]
     per_k: dict[int, int] = {}
+    row_bound = max_column_weight(n, cols)  # >= the max row weight of P
+    note_first_reach(per_k, max(row_bound, max(map(int.bit_count, cols))), lambda: 1)
 
-    def note() -> None:
-        if len(per_k) < n - 1:
-            note_first_reach(per_k, max_weight(n, cols), lambda: len(word))
-
-    note()
-
-    if mode == "specific":
-        distances = singleton_distances(mset, target=(grown, grown))
-    else:
-        distances = report.distances
+    def note(g_idx: int) -> None:
+        nonlocal row_bound
+        if len(per_k) == n - 1:
+            return
+        weight = max([cols[j].bit_count() for j, _ in plans[g_idx][1]], default=0)
+        row_bound += excess[g_idx]
+        if row_bound > len(per_k) + 1:
+            row_bound = max_column_weight(n, cols)
+            weight = max(weight, row_bound)
+        note_first_reach(per_k, weight, lambda: len(word))
 
     iterations = 0
     while cols[grown] != full:
@@ -130,7 +147,7 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
         for g_idx in labels:
             cols = _times(cols, plans[g_idx])
             word.append(g_idx)
-            note()
+            note(g_idx)
         if mode == "any":
             grown = endpoint[0]
         # Merging paths absorb the escaping column, so growth is strict and

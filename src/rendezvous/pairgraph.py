@@ -15,8 +15,9 @@ column x of A and q in column y, so it reads them straight off the
 generators' columns, AND-ed with one "unvisited" bit row per state, which
 yields only the pairs not reached yet.  Pair {i, j} (i <= j) has id
 ``i*n + j``, and the table is flat lists indexed by that id.  The
-primitivity report carries the all-singleton table, so callers that need it
-(the heuristic) do not run that BFS again.
+primitivity report carries its table, so the heuristic does not run that
+BFS again: the all-singleton table, or, with a ``target``, the table to
+that one singleton, which proves primitivity alone.
 """
 
 from __future__ import annotations
@@ -182,7 +183,8 @@ class PrimitivityReport:
     unmergeable_pair: Vertex | None = None
     # states (i, j) with no path i -> j in the union digraph (when reducible)
     reducibility_witness: tuple[int, int] | None = None
-    # the all-singleton distance table (absent for reducible sets), for reuse
+    # the BFS table (to the target if one was given; absent for reducible
+    # sets), for reuse
     distances: DistanceTable | None = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
@@ -195,13 +197,19 @@ class PrimitivityReport:
         return f"pair ({i},{j}) reaches no singleton"
 
 
-def check_primitivity(mset: MatrixSet) -> PrimitivityReport:
+def check_primitivity(mset: MatrixSet, target: Vertex | None = None) -> PrimitivityReport:
     """Decide primitivity of an NZ set via the pair digraph criterion.
 
     Reducible sets are rejected immediately (the criterion needs
     irreducibility); otherwise the set is primitive iff every pair vertex
     reaches some singleton.  The certificate is the first unreached pair in
     row-major order.
+
+    With a singleton ``target`` the BFS runs to that singleton only, and
+    the report carries that table.  The answer and the certificate are the
+    same: in an irreducible set a pair that reaches one singleton reaches
+    them all, since (s, s) steps to (x, x) for every edge s -> x of the
+    strongly connected union digraph.
     """
     mset.require_nz()
     witness = mset.reducibility_witness()
@@ -209,7 +217,7 @@ def check_primitivity(mset: MatrixSet) -> PrimitivityReport:
         return PrimitivityReport(
             primitive=False, irreducible=False, reducibility_witness=witness
         )
-    table = singleton_distances(mset)
+    table = singleton_distances(mset, target)
     n = mset.n
     for i in range(n):
         row = table.dist[i * n + i : i * n + n]

@@ -65,12 +65,16 @@ def parse_set_text(text: str) -> MatrixSet:
             raise SetFileError(
                 f"row has {len(line)} characters, expected {n}", line_no
             )
-        mask = 0
-        for j, ch in enumerate(line):
-            if not ch.isdigit():
-                raise SetFileError(f"invalid character {ch!r} in matrix row", line_no)
-            if ch != "0":
-                mask |= 1 << j
+        if not line.strip("01"):
+            # Only ASCII 0/1: bit j is character j, so read the reversed row in base 2.
+            mask = int(line[::-1], 2)
+        else:
+            mask = 0
+            for j, ch in enumerate(line):
+                if not ch.isdigit():
+                    raise SetFileError(f"invalid character {ch!r} in matrix row", line_no)
+                if ch != "0":
+                    mask |= 1 << j
         if not current_rows:
             current_start = line_no
         current_rows.append(mask)

@@ -317,6 +317,8 @@ class TestErrors:
 
 ONE = str(DATA / "one.set")
 SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets it
+# Reducible, yet every pair reaches (0, 0), the heuristic's seed singleton.
+LOWER = str(DATA / "lower.set")
 
 
 @pytest.mark.parametrize(
@@ -370,6 +372,14 @@ SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets 
         # subset of size 2 is met.
         (("figure", "fig5", "--builtin", "kari", "--max-states", "5"), 1, "",
          "limit: exact rt_2 not found within limits (limit=states, explored=10, depth=0)\n"),
+        (("heuristic", "--mode", "specific", "--file", SWAP), 1, "",
+         "not-primitive: pair (0,1) reaches no singleton\n"),
+        (("heuristic", "--mode", "any", "--file", SWAP), 1, "",
+         "not-primitive: pair (0,1) reaches no singleton\n"),
+        (("heuristic", "--mode", "specific", "--file", LOWER), 1, "",
+         "not-primitive: reducible: no path from state 0 to state 1\n"),
+        (("heuristic", "--mode", "any", "--file", LOWER), 1, "",
+         "not-primitive: reducible: no path from state 0 to state 1\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):

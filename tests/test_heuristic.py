@@ -92,13 +92,43 @@ class TestTrace:
             run_heuristic(kari_set(), mode=mode)
         assert calls == []
 
-    def test_any_mode_reuses_the_primitivity_distances(self, monkeypatch):
-        # The primitivity test's BFS is the nearest-singleton table that
-        # ``any`` mode routes by; ``specific`` needs one more, to its target.
-        for mode, expected in (("any", 1), ("specific", 2)):
+    def test_one_pair_bfs_in_each_mode(self, monkeypatch):
+        # The primitivity test's BFS is the routing table: to the nearest
+        # singleton in ``any`` mode, to the grown column's singleton in
+        # ``specific`` mode, where reaching one singleton proves primitivity.
+        for mode in ("any", "specific"):
             calls = count_calls(monkeypatch, "singleton_distances")
-            run_heuristic(kari_set(), mode=mode)
-            assert len(calls) == expected, mode
+            trace = run_heuristic(kari_set(), mode=mode)
+            target = (trace.column_index,) * 2 if mode == "specific" else None
+            assert [args[1:] for args in calls] == [(target,)], mode
+
+    def test_only_letters_with_excess_trigger_a_row_count(self, monkeypatch):
+        # A permutation letter (nnz(G) = n) leaves the bound on the row
+        # weights where it was, so only the seed and letters with a
+        # remainder are followed by an exact row count.
+        mset = parse_set_file(DATA / "perm70.set")
+        last_rest = [None]
+        after = []
+        real_times, real_count = heuristic._times, heuristic.max_column_weight
+
+        def times(cols, plan):
+            last_rest[0] = plan[1]
+            return real_times(cols, plan)
+
+        def count(n, rows):
+            after.append(last_rest[0])
+            return real_count(n, rows)
+
+        monkeypatch.setattr(heuristic, "_times", times)
+        monkeypatch.setattr(heuristic, "max_column_weight", count)
+        for mode in ("specific", "any"):
+            after.clear()
+            last_rest[0] = None
+            trace = run_heuristic(mset, mode=mode)
+            assert after[0] is None  # the seed
+            assert all(after[1:]), mode
+            # b is the pure permutation; a, with one more 1, has excess 1.
+            assert trace.word.count(1) > 100 and len(after) < trace.word.count(0)
 
 
 class TestLargeFixture:
@@ -202,3 +232,22 @@ class TestPreconditions:
             run_heuristic(MatrixSet.of([cycle]))
         assert err.value.certificate is not None
         assert not err.value.certificate.primitive
+
+    @pytest.mark.parametrize("mode", ["specific", "any"])
+    def test_reducible_set_whose_pairs_reach_the_target(self, mode):
+        # Every pair of [[1,0],[1,1]] reaches (0,0), the seed's singleton,
+        # but state 1 is not reachable from state 0.
+        mset = MatrixSet.of([BoolMatrix.from_rows([[1, 0], [1, 1]])])
+        with pytest.raises(NotPrimitiveError) as err:
+            run_heuristic(mset, mode=mode)
+        assert str(err.value) == "reducible: no path from state 0 to state 1"
+        assert err.value.certificate == pairgraph.check_primitivity(mset)
+
+    @pytest.mark.parametrize("mode", ["specific", "any"])
+    def test_irreducible_non_primitive_set_gets_the_check_certificate(self, mode):
+        mset = parse_set_file(DATA / "swap.set")
+        with pytest.raises(NotPrimitiveError) as err:
+            run_heuristic(mset, mode=mode)
+        report = pairgraph.check_primitivity(mset)
+        assert err.value.certificate == report
+        assert str(err.value) == report.describe() == "pair (0,1) reaches no singleton"

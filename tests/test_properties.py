@@ -3,8 +3,10 @@ past one machine word) and the row-image kernel, the shared level-order
 search behind ``explore`` and ``subset_bfs`` (its stored levels are the
 maximal levels of a pairwise oracle), the set profile and the sandwich
 built on them, the pair-digraph BFS and the primitivity certificate (n up
-to 9), the set-file round trip and the B and lift tables, against the
-independent oracles in ``helpers``."""
+to 9), primitivity decided by the BFS to one singleton, the heuristic's
+per-k prefix lengths (n up to 8, transposes included), the set-file round
+trip and the B and lift tables, against the independent oracles in
+``helpers``."""
 
 import io
 import tempfile
@@ -18,11 +20,13 @@ from rendezvous import (
     Automaton,
     BoolMatrix,
     MatrixSet,
+    NotPrimitiveError,
     Reach,
     UnreachableVertexError,
     associated_automaton,
     bound_b_closed,
     bound_b_recursive,
+    check_primitivity,
     cpr_set,
     example_set,
     explore,
@@ -31,6 +35,7 @@ from rendezvous import (
     pair_vertices,
     parse_set_file,
     parse_set_text,
+    run_heuristic,
     serialize_set,
     set_profile,
     singleton_distances,
@@ -39,7 +44,7 @@ from rendezvous import (
     witness_replay,
 )
 from rendezvous.cli import main
-from rendezvous.boolmat import max_weight, row_image
+from rendezvous.boolmat import max_column_weight, max_weight, row_image
 from rendezvous.bounds import _lift_grid
 from helpers import (
     entry_leq,
@@ -52,6 +57,7 @@ from helpers import (
     product_levels,
     reached,
     recorded_searches,
+    row_tuple_product,
     semigroup_closure,
     stored_levels,
     subset_levels,
@@ -97,6 +103,21 @@ def automata(draw, min_n=1, max_n=5):
     return Automaton(n, letters, tuple(f"x{i}" for i in range(m)))
 
 
+@st.composite
+def sparse_nz_sets(draw, max_n=8):
+    """Permutation matrices plus a few drawn ones: NZ sets with long
+    heuristic words and letters of every small excess."""
+    n = draw(st.integers(1, max_n))
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [1 << p for p in draw(st.permutations(range(n)))]
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for i, j in draw(st.lists(cells, max_size=3)):
+            rows[i] |= 1 << j
+        generators.append(BoolMatrix(n, tuple(rows)))
+    return MatrixSet.of(generators)
+
+
 def profile_lengths(result):
     return {k: entry.length for k, entry in result.krt.items()}
 
@@ -105,6 +126,8 @@ def profile_lengths(result):
 @given(st.one_of(st.integers(1, 5), st.integers(6, 130)).flatmap(matrices))
 def test_max_weight_matches_entry_oracle(mat):
     assert max_weight(mat.n, mat.rows) == entry_max_weight(mat.rows)
+    columns = [sum((row >> j) & 1 for row in mat.rows) for j in range(mat.n)]
+    assert max_column_weight(mat.n, mat.rows) == max(columns)
 
 
 @pytest.mark.parametrize("count", [63, 64, 65, 127, 128, 129])
@@ -299,6 +322,25 @@ def test_explore_rejects_limits_below_one(limits):
         set_profile(MatrixSet.of([BoolMatrix.ones(2)]), **limits)
 
 
+@PROPERTY
+@given(st.one_of(nz_sets(max_n=8), sparse_nz_sets()).filter(is_primitive), st.booleans())
+def test_heuristic_per_k_matches_prefix_replays(mset, transpose):
+    # Transposed sets swap rows and columns, so the rows, which the
+    # heuristic only bounds between exact counts, carry the max weight too.
+    if transpose:
+        mset = mset.transposed()
+    gens = [g.rows for g in mset.generators]
+    for mode in ("specific", "any"):
+        trace = run_heuristic(mset, mode=mode)
+        expected: dict[int, int] = {}
+        rows = tuple(1 << i for i in range(mset.n))
+        for length, g_idx in enumerate(trace.word, start=1):
+            rows = row_tuple_product(rows, gens[g_idx])
+            for k in range(2, entry_max_weight(rows) + 1):
+                expected.setdefault(k, length)
+        assert trace.per_k_length == expected, mode
+
+
 # A label is one stripped comment line, so it holds no control, space or
 # line-break characters.
 LABELS = st.text(
@@ -407,3 +449,28 @@ def test_check_certificate_is_the_first_unreached_pair(mset):
         "primitive: false",
         f"certificate: pair ({i},{j}) reaches no singleton",
     ]
+
+
+@PROPERTY
+@given(st.one_of(nz_sets(max_n=6), cyclic_block_sets()).filter(lambda m: not is_primitive(m)))
+def test_heuristic_rejects_non_primitive_sets_with_the_check_certificate(mset):
+    report = check_primitivity(mset)
+    for mode in ("specific", "any"):
+        with pytest.raises(NotPrimitiveError) as err:
+            run_heuristic(mset, mode=mode)
+        assert err.value.certificate == report
+        assert str(err.value) == report.describe()
+
+
+@PROPERTY
+@given(st.one_of(nz_sets(max_n=7), cyclic_block_sets()))
+def test_primitivity_to_one_singleton_is_primitivity(mset):
+    # In an irreducible set a pair that reaches one singleton reaches them
+    # all, so the BFS to any one singleton decides primitivity, with the
+    # same certificate.
+    report = check_primitivity(mset)
+    for s in range(mset.n):
+        to_s = check_primitivity(mset, (s, s))
+        assert to_s == report
+        if to_s.primitive:
+            assert to_s.distances == singleton_distances(mset, (s, s))

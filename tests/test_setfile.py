@@ -1,9 +1,11 @@
+import random
 from pathlib import Path
 
 import pytest
 
 from rendezvous import (
     BoolMatrix,
+    MatrixSet,
     SetFileError,
     builtin_set,
     parse_set_file,
@@ -19,6 +21,19 @@ class TestRoundTrip:
         for name in ("example", "cpr", "kari"):
             mset = builtin_set(name)
             assert parse_set_text(serialize_set(mset)) == mset
+
+    def test_drawn_sets_round_trip(self):
+        # Widths on both sides of a machine word; rows of plain 0/1 take
+        # the parser's base-2 path.
+        rng = random.Random(17)
+        for n in (1, 2, 7, 63, 64, 65, 130):
+            for _ in range(4):
+                gens = [
+                    BoolMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                mset = MatrixSet.of(gens)
+                assert parse_set_text(serialize_set(mset)) == mset
 
     def test_golden_files_match_builtins(self):
         for name in ("example", "cpr", "kari"):
@@ -89,6 +104,25 @@ class TestParsing:
         with pytest.raises(SetFileError) as err:
             parse_set_text("2 1\n\n10\nx1\n")
         assert err.value.line == 4
+
+    def test_mixed_rows_parse_entry_by_entry(self):
+        # Plain 0/1 rows beside rows with magnitudes and non-ASCII digits.
+        text = "3 2\n\n# a\n101\n301\n010\n\n# b\n0\u00b20\n001\n110\n"
+        mset = parse_set_text(text)
+        assert mset.generators == (
+            BoolMatrix.from_rows([[1, 0, 1], [1, 0, 1], [0, 1, 0]]),
+            BoolMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+        )
+        assert mset.labels == ("a", "b")
+
+    @pytest.mark.parametrize("row, char", [("0x1", "x"), ("1_0", "_"), ("1 0", " ")])
+    def test_bad_character_after_plain_rows(self, row, char):
+        # ``int(_, 2)`` would take "1_0"; such rows must keep the digit check.
+        text = f"3 2\n\n# a\n101\n301\n010\n\n# b\n011\n{row}\n001\n"
+        with pytest.raises(SetFileError) as err:
+            parse_set_text(text)
+        assert err.value.line == 10
+        assert str(err.value) == f"line 10: invalid character {char!r} in matrix row"
 
     def test_matrix_count_mismatch(self):
         with pytest.raises(SetFileError) as err:
