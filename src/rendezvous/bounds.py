@@ -14,11 +14,12 @@ Two bound families are computed, both exact rationals:
   dynamic program and has no closed form; ``bound_f`` takes the best
   splitting point h.
 
-Each recurrence has one implementation and one per-n cache: the lift DP
-is a single numpy grid over (h, k), computed for all p at once per row and
-kept per n (``_lift_grid``); the B recursion is one table per (n, variant)
-grown on demand (``_b_table``).  Every B, lift and F value reads from
-these two, so a table over many k costs one DP, not one per cell.
+Each recurrence has one implementation and one cache: the lift DP fills
+one grid of columns over (k, h) by walking the crossing of its two routes,
+and keeps it for the last n only (``_lift_grid``); the B recursion is one
+table per (n, variant) grown on demand (``_b_table``).  Every B, lift and
+F value reads from these two, so a table over many k costs one DP, not
+one per cell.
 
 The escape count ``a``: for a matrix with all row/column weights <= k and a
 column c of weight exactly k, count the columns whose support is not inside
@@ -35,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .boolmat import BoolMatrix
 
@@ -284,38 +283,83 @@ def bound_b_closed(n: int, k: int) -> Fraction:
     return bound_b_closed(n, anchor) + Fraction((k - anchor) * n * n, 2)
 
 
-_LIFT_GRIDS: dict[int, np.ndarray] = {}
+_LIFT_GRIDS: dict[int, list[list[int]]] = {}
 
 
-def _lift_grid(n: int, k_max: int) -> np.ndarray:
-    """Doubled lift costs: entry [h, k] is twice ``lift_bound(n, k, h)`` for
-    all 2 <= h, k <= k_max (zero once h >= k).
+def _lift_grid(n: int, k_max: int) -> list[list[int]]:
+    """Doubled lift costs by column: entry [k][h] is twice
+    ``lift_bound(n, k, h)`` for 2 <= h <= k <= k_max (zero at h = k);
+    columns 0 and 1 are zero placeholders.
 
-    Entry h solves max over p in [1, min(h, n-h)] of the better of two
-    routes: merge p extra support elements at once and pay at most
-    n(n-1)/2, or gain one weight level at the refined escape rate and pay
-    n(n+1-a)/2.  Doubling keeps the table integral.  Rows are filled from
-    h = k_max-1 down, each one numpy pass over all k and p; references to
-    h+p > k_max clamp to the all-zero last row.  Column k does not depend
-    on k_max, so one grid per n is cached (read-only) and serves every
-    smaller k_max; a larger request rebuilds it.
+    Write G(h) for column k.  G(h) = 0 for h >= k, and below k G(h) is the
+    max over p in [1, min(h, n-h)] of the cheaper of two routes: merge p
+    extra support elements at once, J_p = G(h+p) + n(n-1), or gain one
+    weight level at the refined escape rate, S_p = G(h+1) + n(n+1-a_p) with
+    a_p = max(n-h(h-1)-1, ceil((n-h)/p), 1).  Doubling keeps every entry
+    integral.  The max needs only a few p, exactly:
+
+    1. G(h) > G(h+1): at p = 1 both routes cost more than G(h+1).  So G
+       decreases in h up to k, and J_p is nonincreasing in p.
+    2. a_p is nonincreasing in p, so S_p is nondecreasing in p.
+    3. a_p is constant on blocks of p, O(sqrt(n-h)) of them: after a block
+       with value v > max(n-h(h-1)-1, 1) the next one starts at
+       p = ceil((n-h)/(v-1)), and the block where a_p reaches that floor is
+       the last.  S_p is constant on a block and J_p largest at its first
+       p, so only block starts matter.
+    4. The max of the min of a nonincreasing and a nondecreasing sequence
+       sits at their crossing.  With j the first block whose start has
+       J <= S, G(h) = max(J_j, S_{j-1}); if no block crosses, G(h) is S at
+       the last block.
+    5. The crossing for (h, k) lies at or next to the one for (h, k-1) in
+       over 99% of cells (at n = 200 and n = 1000; it moves back in about
+       7%), so each h walks both ways from where it stood in the previous
+       column instead of searching again.
+
+    A column of height k costs O(k) steps plus the walks.  Column k does not
+    depend on k_max, so one grid is cached, for the last n asked for; it
+    serves every smaller k_max and grows by columns for a larger one.
     """
     grid = _LIFT_GRIDS.get(n)
-    if grid is not None and grid.shape[1] > k_max:
+    if grid is None:
+        _LIFT_GRIDS.clear()
+        grid = _LIFT_GRIDS[n] = [[0], [0, 0]]
+    if len(grid) > k_max:
         return grid
-    size = k_max + 2
-    grid = np.zeros((size, k_max + 1), dtype=np.int64)
     e2 = n * (n - 1)
-    for h in range(k_max - 1, 1, -1):
-        p = np.arange(1, min(h, n - h) + 1)
-        ahat = np.maximum(max(n - h * (h - 1) - 1, 1), _ceildiv(n - h, p))
-        via_jump = grid[np.minimum(h + p, size - 1)] + e2
-        via_step = grid[h + 1] + (n * (n + 1 - ahat))[:, None]
-        row = np.minimum(via_jump, via_step).max(axis=0)
-        row[: h + 1] = 0
-        grid[h] = row
-    grid.flags.writeable = False
-    _LIFT_GRIDS[n] = grid
+    # Per h, per block: h + p at its start (where its jump lands) and
+    # n(2 - a_p), so that J <= S reads G(h+p) <= G(h+1) + n(2 - a_p).
+    blocks = [((), (), 0)] * 2
+    for h in range(2, k_max):
+        rest, floor = n - h, max(n - h * (h - 1) - 1, 1)
+        top = min(h, rest)
+        lands, gaps = [], []
+        p = 1
+        while p <= top:
+            a = max(floor, _ceildiv(rest, p))
+            lands.append(h + p)
+            gaps.append(n * (2 - a))
+            if a == floor:
+                break
+            p = _ceildiv(rest, a - 1)
+        blocks.append((lands, gaps, len(lands)))
+    cross = [0] * k_max
+    for k in range(len(grid), k_max + 1):
+        col = [0] * (2 * k)  # h + p <= 2h reads zeros past k
+        for h in range(k - 1, 1, -1):
+            lands, gaps, last = blocks[h]
+            base = col[h + 1]
+            j = cross[h]
+            while j and col[lands[j - 1]] <= base + gaps[j - 1]:
+                j -= 1
+            while j < last and col[lands[j]] > base + gaps[j]:
+                j += 1
+            cross[h] = j
+            if j < last and (not j or col[lands[j]] >= base + gaps[j - 1]):
+                col[h] = col[lands[j]] + e2
+            else:
+                col[h] = base + gaps[j - 1] + e2
+        del col[k + 1 :]
+        grid.append(col)
     return grid
 
 
@@ -327,7 +371,7 @@ def lift_bound(n: int, k: int, h: int) -> Fraction:
     _validate_bound_args(n, k)
     if h >= k:
         return Fraction(0)
-    return Fraction(int(_lift_grid(n, k)[h, k]), 2)
+    return Fraction(_lift_grid(n, k)[k][h], 2)
 
 
 def _scaled_b(n: int, k_max: int) -> tuple[list[int], int]:
@@ -353,13 +397,13 @@ def bound_f(n: int, k: int) -> tuple[Fraction, int]:
     smallest h.  Never exceeds bound_b_recursive(n, k)."""
     _validate_bound_args(n, k)
     scaled_b, denom = _scaled_b(n, k)
-    return _f_min(scaled_b, denom, _lift_grid(n, k)[: k + 1, k].tolist(), k)
+    return _f_min(scaled_b, denom, _lift_grid(n, k)[k], k)
 
 
 def bound_f_table(n: int, k_max: int) -> dict[int, tuple[Fraction, int]]:
     """``bound_f`` for every k in [2, k_max] from one lift grid and one B table."""
     _validate_bound_args(n, k_max)
-    lifts = _lift_grid(n, k_max)[: k_max + 1, : k_max + 1].T.tolist()  # [k][h]
+    lifts = _lift_grid(n, k_max)
     scaled_b, denom = _scaled_b(n, k_max)
     return {k: _f_min(scaled_b, denom, lifts[k], k) for k in range(2, k_max + 1)}
 

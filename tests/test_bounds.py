@@ -252,18 +252,28 @@ class TestLiftBound:
             grid = _lift_grid(n, k)
             oracle = lift_table_oracle(n, k)
             for h in range(2, k + 1):
-                assert int(grid[h][k]) == oracle[h - 2], (n, k, h)
+                assert grid[k][h] == oracle[h - 2], (n, k, h)
                 assert lift_bound(n, k, h) == Fraction(oracle[h - 2], 2), (n, k, h)
 
     def test_grid_column_independent_of_k_max(self):
         n = 37
         for first, second in ((30, 12), (12, 30)):
             _LIFT_GRIDS.pop(n, None)
-            a = _lift_grid(n, first).copy()
+            a = list(_lift_grid(n, first))
+            _LIFT_GRIDS.pop(n, None)
             b = _lift_grid(n, second)
             for k in range(2, min(first, second) + 1):
-                assert (a[: k + 1, k] == b[: k + 1, k]).all(), (first, second, k)
-                assert a[: k + 1, k].tolist() == [0, 0] + lift_table_oracle(n, k)
+                assert a[k] == b[k], (first, second, k)
+                assert a[k] == [0, 0] + lift_table_oracle(n, k)
+
+    def test_cache_holds_one_grid_for_the_last_n(self):
+        # The one cached grid is replaced when n changes and must never
+        # serve another n, even for a smaller k_max.
+        for n, k_max in ((40, 30), (41, 35), (40, 20)):
+            grid = _lift_grid(n, k_max)
+            assert list(_LIFT_GRIDS) == [n]
+            for k in range(2, k_max + 1):
+                assert grid[k] == [0, 0] + lift_table_oracle(n, k), (n, k_max, k)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -287,6 +297,9 @@ class TestBoundF:
             table = bound_f_table(n, n)
             for k in range(2, n + 1):
                 assert table[k][0] <= bound_b_recursive(n, k)
+
+    def test_diagonal_matches_oracle_at_500(self):
+        assert bound_f(500, 500) == bound_f_oracle(500, 500)
 
     def test_table_matches_per_cell(self):
         rng = random.Random(42)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -416,6 +417,14 @@ def test_set_profile_explored_counts_follow_the_oracle(mset, depth, explored):
     )
 
 
+def run_python(*args):
+    """A fresh interpreter that imports the package from this checkout."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -431,15 +440,47 @@ def test_set_profile_explored_counts_follow_the_oracle(mset, depth, explored):
 def test_optimized_interpreter_prints_the_same(argv):
     # ``python -O`` strips assert statements; no check the output relies on
     # may be one.
-    src = str(Path(__file__).parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
     plain, optimized = (
-        subprocess.run(
-            [sys.executable, *flags, "-m", "rendezvous", *argv],
-            capture_output=True, env=env, timeout=120,
-        )
-        for flags in ((), ("-O",))
+        run_python(*flags, "-m", "rendezvous", *argv) for flags in ((), ("-O",))
     )
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+# sha256 of the stdout these commands gave with the earlier numpy lift grid:
+# the tables must stay byte for byte what that implementation printed.
+RECORDED_BOUND_TABLES = [
+    (("bounds", "--n", "300"),
+     "109bad3c898753d11013b832e097d36dc9eb8437b5e06366036032042fafe86e"),
+    (("bounds", "--n", "300", "--ceil-variant"),
+     "06c3b9459c4cc30d19cbdc7e97aae078fce7aa3bd399ff9d7e1bb217de7b7f8f"),
+    (("figure", "fig8", "--n-max", "120"),
+     "cc2152e475dfd3b1c0fbbaf68f052c7f8456f2a4162934de60e2281fc4921c52"),
+    (("figure", "fig9", "--n-max", "150"),
+     "36bf702a41f508f0151b0ee984c33e5f1753de397a14ae18fa68017093653ce7"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", RECORDED_BOUND_TABLES, ids=[" ".join(a) for a, _ in RECORDED_BOUND_TABLES]
+)
+def test_bound_tables_match_recorded_output(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_runs_without_numpy(capsys):
+    # numpy set to None in sys.modules makes any import of it fail.
+    blocked = run_python(
+        "-c",
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from rendezvous.cli import main\n"
+        "sys.exit(main(['bounds', '--n', '40']) or main(['figure', 'fig9', '--n-max', '30']))\n",
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    expected = run(capsys, "bounds", "--n", "40")[1] + run(capsys, "figure", "fig9", "--n-max", "30")[1]
+    assert blocked.stdout.decode() == expected
+    plain = run_python("-c", "import sys, rendezvous.cli; print('numpy' in sys.modules)")
+    assert plain.stdout == b"False\n", plain.stderr

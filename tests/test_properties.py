@@ -45,7 +45,7 @@ from rendezvous import (
 )
 from rendezvous.cli import main
 from rendezvous.boolmat import max_column_weight, max_weight, row_image
-from rendezvous.bounds import _lift_grid
+from rendezvous.bounds import _LIFT_GRIDS, _lift_grid
 from helpers import (
     entry_leq,
     entry_max_weight,
@@ -366,7 +366,25 @@ def test_b_closed_form_equals_recursion(nk):
 @given(st.integers(2, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
 def test_lift_grid_column_matches_scalar_oracle(nk):
     n, k = nk
-    assert _lift_grid(n, k)[: k + 1, k].tolist() == [0, 0] + lift_table_oracle(n, k)
+    assert _lift_grid(n, k)[k] == [0, 0] + lift_table_oracle(n, k)
+
+
+@settings(PROPERTY, max_examples=20)  # the oracle costs about k_max^3/6 steps
+@given(
+    st.integers(2, 400).flatmap(
+        # k_max = 2 + (n-2)u^3 for u in [0, 1]: most draws land below n/2,
+        # as fig8's min(n, 50) does, where jumps from high rows reach past k_max.
+        lambda n: st.tuples(
+            st.just(n), st.integers(0, 64).map(lambda u: 2 + (n - 2) * u**3 // 64**3)
+        )
+    )
+)
+def test_fresh_lift_grid_every_column_matches_scalar_oracle(nk):
+    n, k_max = nk
+    _LIFT_GRIDS.clear()
+    grid = _lift_grid(n, k_max)
+    for k in range(2, k_max + 1):
+        assert grid[k] == [0, 0] + lift_table_oracle(n, k), k
 
 
 def assert_pair_bfs_matches_oracle(mset, targets):
