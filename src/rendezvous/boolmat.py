@@ -8,9 +8,6 @@ backward reachability) comes from one ``transpose()``; ``col(j)`` reads a
 single column.  ``max_column_weight`` is the one column-count kernel: it
 counts columns with bit-sliced counters (one int per bit of the count), so
 a row costs a few word-parallel operations, not one step per set bit.
-``max_weight``, the max row or column weight, is that count beside the
-rows' ``bit_count``; the heuristic, which bounds its row side, calls the
-column count alone.
 ``row_image`` is the one "OR of rows over a mask's support" kernel: a
 product row, a memoized child row in the semigroup search, a subset
 preimage in the subset search and a column of the heuristic's product
@@ -74,11 +71,6 @@ def max_column_weight(n: int, rows: tuple[int, ...]) -> int:
             live &= plane
             count |= 1
     return count
-
-
-def max_weight(n: int, rows: tuple[int, ...]) -> int:
-    """Largest row or column weight of the n x n matrix with bit rows ``rows``."""
-    return max(max_column_weight(n, rows), max(map(int.bit_count, rows)))
 
 
 @dataclass(frozen=True)

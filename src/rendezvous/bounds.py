@@ -17,16 +17,16 @@ Two bound families are computed, both exact rationals:
 Each recurrence has one implementation and one cache: the lift DP fills
 one grid of columns over (k, h) by walking the crossing of its two routes,
 and keeps it for the last n only (``_lift_grid``); the B recursion is one
-table per (n, variant) grown on demand (``_b_table``).  Every B, lift and
-F value reads from these two, so a table over many k costs one DP, not
-one per cell.
+table per variant grown on demand, also for the last n only
+(``_b_table``).  Every B, lift and F value reads from these two, so a
+table over many k costs one DP, not one per cell.
 
 The escape count ``a``: for a matrix with all row/column weights <= k and a
 column c of weight exactly k, count the columns whose support is not inside
-supp(column c); minimizing over c gives ``evaluate_escape``.  The sharp
-range of the minimum over all such matrices is pinched between
-``escape_lower`` and ``escape_upper``, with ``build_witness`` producing a
-matrix attaining the upper value.
+supp(column c); minimizing over c gives ``evaluate_escape``.  Over all
+such matrices the minimum is ``_escape_rate`` when no column escapes by
+more than p elements, so at least ``escape_lower`` (p = k);
+``build_witness`` attains that value, so ``escape_upper`` equals it.
 
 Everything here is pure arithmetic on (n, k, h, p); no dimension cap.
 """
@@ -44,32 +44,29 @@ def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _validate_nk(n: int, k: int) -> None:
-    if n < 2 or not 2 <= k <= n - 1:
-        raise ValueError(f"need n >= 2 and 2 <= k <= n-1, got n={n}, k={k}")
+def _validate_nk(n: int, k: int, below_n: bool = False) -> None:
+    if not 2 <= k <= n - below_n:
+        top = "n-1" if below_n else "n"
+        raise ValueError(f"need n >= 2 and 2 <= k <= {top}, got n={n}, k={k}")
 
 
-def _validate_bound_args(n: int, k: int) -> None:
-    if n < 2 or not 2 <= k <= n:
-        raise ValueError(f"need n >= 2 and 2 <= k <= n, got n={n}, k={k}")
+def _escape_rate(n: int, k: int, p: int) -> int:
+    """max{n-k(k-1)-1, ceil((n-k)/p), 1}: the least number of columns
+    escaping a weight-k column when none escapes it by more than p
+    elements.  Callers validate their own ranges."""
+    return max(n - k * (k - 1) - 1, _ceildiv(n - k, p), 1)
 
 
 def escape_lower(n: int, k: int) -> int:
     """Lower bound max{n-k(k-1)-1, ceil((n-k)/k), 1} on the escape count."""
-    _validate_nk(n, k)
-    return max(n - k * (k - 1) - 1, _ceildiv(n - k, k), 1)
+    _validate_nk(n, k, below_n=True)
+    return _escape_rate(n, k, k)
 
 
 def escape_upper(n: int, k: int) -> int:
-    """Least escape count attained by an explicit witness matrix.
-
-    Equals n-k(k-1)-1 when that dominates ceil((n-k)/k), the ceiling term
-    otherwise; together with ``escape_lower`` this pins the exact value.
-    """
-    _validate_nk(n, k)
-    linear = n - k * (k - 1) - 1
-    ceiling = _ceildiv(n - k, k)
-    return linear if linear >= ceiling else ceiling
+    """Least escape count attained by an explicit witness matrix
+    (``build_witness``): the lower bound itself, so it is the exact value."""
+    return escape_lower(n, k)
 
 
 def escape_lower_refined(n: int, k: int, p: int) -> int:
@@ -80,67 +77,41 @@ def escape_lower_refined(n: int, k: int, p: int) -> int:
         raise ValueError(
             f"need n >= 3, 2 <= k < n, 1 <= p <= min(k, n-k); got n={n}, k={k}, p={p}"
         )
-    return max(n - k * (k - 1) - 1, _ceildiv(n - k, p), 1)
+    return _escape_rate(n, k, p)
 
 
 @dataclass(frozen=True)
 class EscapeWitness:
     matrix: BoolMatrix
     claimed: int
-    kind: str  # "hat" (linear branch) or "tilde" (ceiling branch)
+    kind: str  # "hat" (linear term) or "tilde" (ceiling term)
 
 
 def build_witness(n: int, k: int) -> EscapeWitness:
-    """Block matrix attaining the escape upper bound.
+    """Block matrix attaining the escape lower bound.
 
-    Layout: a width-v band of stacked constant-column blocks (v - 1 blocks
-    of height k and a remainder block) makes column 0 the weight-k column;
-    the remaining columns are weight-1 fillers placed in the first k rows,
-    at most k-1 per row, plus, in the linear branch, a shifted identity
-    below them.  Column 0's support is the first k rows, so exactly the
-    non-first column-band columns and the identity columns escape it.
+    Layout: a width-v band, v = ceil((n-k)/k) + 1, gives row r the bit
+    min(r // k, v-1), so column 0, the weight-k column, covers the first k
+    rows.  The other n-v columns are weight 1: up to k(k-1) fillers in the
+    first k rows, k-1 per row, then a shifted identity from row k on.  So
+    the other v-1 band columns and max(n-k(k-1)-1 - (v-1), 0) identity
+    columns escape column 0: the linear term ("hat") when it is at least
+    v-1 = ceil((n-k)/k), the ceiling term ("tilde") otherwise.
     """
-    _validate_nk(n, k)
-    ceil_nk = _ceildiv(n - k, k)
-    v = ceil_nk + 1
-    rows = [0] * n
-    r = 0
-    for t in range(v):
-        height = k if t < v - 1 else n - k * (v - 1)
-        for _ in range(height):
-            rows[r] |= 1 << t
-            r += 1
-    if r != n:
-        raise RuntimeError(f"column band filled {r} rows, expected {n}")
+    _validate_nk(n, k, below_n=True)
+    v = _ceildiv(n - k, k) + 1
+    rows = [1 << min(r // k, v - 1) for r in range(n)]
+    fillers = min(n - v, k * (k - 1))
+    for f in range(fillers):
+        rows[f // (k - 1)] |= 1 << (v + f)
+    for t in range(n - v - fillers):
+        rows[k + t] |= 1 << (v + fillers + t)
+    matrix = BoolMatrix(n, tuple(rows))
+    if (defect := matrix.nz_defect()) is not None:
+        raise RuntimeError(f"witness fill left {defect[0]} {defect[1]} empty")
     linear = n - k * (k - 1) - 1
-    if linear >= ceil_nk:
-        alpha = linear - ceil_nk
-        c = v
-        for i in range(k):
-            for _ in range(k - 1):
-                rows[i] |= 1 << c
-                c += 1
-        for t in range(alpha):
-            rows[k + t] |= 1 << (c + t)
-        c += alpha
-        if c != n:
-            raise RuntimeError(f"linear branch filled {c} columns, expected {n}")
-        return EscapeWitness(BoolMatrix(n, tuple(rows)), linear, "hat")
-    # Ceiling branch: n - v filler columns fit in the first k rows at k-1
-    # per row exactly because n - v <= k(k-1) here.
-    c = v
-    i = 0
-    remaining = n - v
-    while remaining > 0:
-        take = min(k - 1, remaining)
-        for _ in range(take):
-            rows[i] |= 1 << c
-            c += 1
-        remaining -= take
-        i += 1
-    if c != n:
-        raise RuntimeError(f"ceiling branch filled {c} columns, expected {n}")
-    return EscapeWitness(BoolMatrix(n, tuple(rows)), ceil_nk, "tilde")
+    kind = "hat" if linear >= v - 1 else "tilde"
+    return EscapeWitness(matrix, max(linear, v - 1), kind)
 
 
 @dataclass(frozen=True)
@@ -180,29 +151,24 @@ def evaluate_escape(mat: BoolMatrix, k: int) -> EscapeEvaluation:
     if not weight_k:
         return EscapeEvaluation(member=False, reason=f"no column of weight {k}")
 
-    def escape_count(c: int) -> int:
-        return sum(1 for i in range(n) if cols[i] & ~cols[c])
-
-    value = min(escape_count(c) for c in weight_k)
-    p = max(
-        (cols[i] & ~cols[c]).bit_count()
-        for c in weight_k
-        for i in range(n)
-        if i != c
-    )
-    refined_cols = tuple(
-        c
-        for c in weight_k
-        if any((cols[i] & ~cols[c]).bit_count() == p for i in range(n) if i != c)
-    )
-    refined = min(escape_count(c) for c in refined_cols)
+    # Per weight-k column c: how many columns escape it, and by how much at
+    # most.  Column c escapes itself by nothing, and some column escapes it
+    # (a row outside its support is nonzero), so p >= 1.
+    counts, largest = [], []
+    for c in weight_k:
+        outside = ~cols[c]
+        escapes = [(col & outside).bit_count() for col in cols]
+        counts.append(n - escapes.count(0))
+        largest.append(max(escapes))
+    p = max(largest)
+    refined = [i for i, top in enumerate(largest) if top == p]
     return EscapeEvaluation(
         member=True,
-        value=value,
+        value=min(counts),
         columns=weight_k,
         p=p,
-        refined_value=refined,
-        refined_columns=refined_cols,
+        refined_value=min(counts[i] for i in refined),
+        refined_columns=tuple(weight_k[i] for i in refined),
     )
 
 
@@ -231,8 +197,7 @@ def _b_increment(n: int, target: int, ceil_variant: bool) -> Fraction:
     """
     step = target - 1
     if ceil_variant:
-        a = max(n - step * (step - 1) - 1, _ceildiv(n - step, step), 1)
-        return Fraction(n * (1 + n - a), 2)
+        return Fraction(n * (1 + n - _escape_rate(n, step, step)), 2)
     s = math.isqrt(n)
     half = n // 2
     if target <= s:
@@ -242,13 +207,18 @@ def _b_increment(n: int, target: int, ceil_variant: bool) -> Fraction:
     return Fraction(n * n, 2)
 
 
-_B_TABLES: dict[tuple[int, bool], list[Fraction]] = {}
+_B_TABLES: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
 
 
 def _b_table(n: int, k_max: int, ceil_variant: bool) -> list[Fraction]:
     """Cumulative bound values for k in [2, k_max] and possibly beyond,
-    index k-2; one table per (n, variant), grown on demand."""
-    values = _B_TABLES.setdefault((n, ceil_variant), [Fraction(1)])
+    index k-2; one table per variant, grown on demand, kept for the last n
+    only (no caller returns to an earlier n)."""
+    tables = _B_TABLES.get(n)
+    if tables is None:
+        _B_TABLES.clear()
+        tables = _B_TABLES[n] = ([Fraction(1)], [Fraction(1)])
+    values = tables[ceil_variant]
     while len(values) < k_max - 1:
         values.append(values[-1] + _b_increment(n, len(values) + 2, ceil_variant))
     return values
@@ -256,7 +226,7 @@ def _b_table(n: int, k_max: int, ceil_variant: bool) -> list[Fraction]:
 
 def bound_b_recursive(n: int, k: int, ceil_variant: bool = False) -> Fraction:
     """Recursively accumulated growth bound on the k-rendezvous time."""
-    _validate_bound_args(n, k)
+    _validate_nk(n, k)
     return _b_table(n, k, ceil_variant)[k - 2]
 
 
@@ -266,7 +236,7 @@ def bound_b_closed(n: int, k: int) -> Fraction:
     Three regimes: a cubic polynomial in k while k <= isqrt(n), a harmonic
     correction up to n/2, and n^2/2 per step beyond.
     """
-    _validate_bound_args(n, k)
+    _validate_nk(n, k)
     if k == 2:
         return Fraction(1)
     s = math.isqrt(n)
@@ -335,7 +305,7 @@ def _lift_grid(n: int, k_max: int) -> list[list[int]]:
         lands, gaps = [], []
         p = 1
         while p <= top:
-            a = max(floor, _ceildiv(rest, p))
+            a = max(floor, _ceildiv(rest, p))  # _escape_rate(n, h, p)
             lands.append(h + p)
             gaps.append(n * (2 - a))
             if a == floor:
@@ -368,7 +338,7 @@ def lift_bound(n: int, k: int, h: int) -> Fraction:
     column into a weight-k one; zero once h >= k."""
     if h < 2:
         raise ValueError(f"need h >= 2, got {h}")
-    _validate_bound_args(n, k)
+    _validate_nk(n, k)
     if h >= k:
         return Fraction(0)
     return Fraction(_lift_grid(n, k)[k][h], 2)
@@ -380,7 +350,7 @@ def _scaled_b(n: int, k_max: int) -> tuple[list[int], int]:
     rational normalization."""
     b_values = _b_table(n, k_max, False)[: k_max - 1]
     denom = 2 * math.lcm(*(b.denominator for b in b_values))
-    return [int(b * denom) for b in b_values], denom
+    return [b.numerator * (denom // b.denominator) for b in b_values], denom
 
 
 def _f_min(scaled_b: list[int], denom: int, lifts: list[int], k: int) -> tuple[Fraction, int]:
@@ -395,14 +365,14 @@ def bound_f(n: int, k: int) -> tuple[Fraction, int]:
     """Best split of the growth bound: min over h of bound_b(n, h) plus the
     lift cost from h to k.  Returns (value, achieving h); ties go to the
     smallest h.  Never exceeds bound_b_recursive(n, k)."""
-    _validate_bound_args(n, k)
+    _validate_nk(n, k)
     scaled_b, denom = _scaled_b(n, k)
     return _f_min(scaled_b, denom, _lift_grid(n, k)[k], k)
 
 
 def bound_f_table(n: int, k_max: int) -> dict[int, tuple[Fraction, int]]:
     """``bound_f`` for every k in [2, k_max] from one lift grid and one B table."""
-    _validate_bound_args(n, k_max)
+    _validate_nk(n, k_max)
     lifts = _lift_grid(n, k_max)
     scaled_b, denom = _scaled_b(n, k_max)
     return {k: _f_min(scaled_b, denom, lifts[k], k) for k in range(2, k_max + 1)}

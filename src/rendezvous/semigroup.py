@@ -42,7 +42,10 @@ T = TypeVar("T")
 K = TypeVar("K", bound=Hashable)
 
 DEFAULT_MAX_STATES = 10_000_000
-EXACT_SEARCH_DIMENSION_CAP = 64  # one machine word per bit row
+# Keys are Python ints of any width (the automata searches already run at
+# n = 70); the cap guards memory: past n = 64 a search under the default
+# state cap can store millions of keys at about 210 B per stored subset.
+EXACT_SEARCH_DIMENSION_CAP = 64
 
 
 def default_max_depth(n: int) -> int:

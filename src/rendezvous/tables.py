@@ -57,7 +57,7 @@ def rt_vs_bounds_rows(
     k not reached is a limit error."""
     n = mset.n
     result = set_profile(mset, max_depth, max_states)
-    f_table = bound_f_table(n, n) if include_f else None
+    f_table = bound_f_table(n, n) if include_f and n >= 2 else None
     rows = []
     for k in range(2, n + 1):
         if result.limit is None and k not in result.krt:
@@ -81,7 +81,7 @@ def heuristic_vs_bounds_rows(
     """Heuristic per-k lengths next to the bounds for one set."""
     n = mset.n
     trace = run_heuristic(mset, mode=mode)
-    f_table = bound_f_table(n, n) if include_f else None
+    f_table = bound_f_table(n, n) if include_f and n >= 2 else None
     ks = [only_k] if only_k is not None else list(range(2, n + 1))
     rows = []
     for k in ks:

@@ -343,3 +343,48 @@ def forward_reset_threshold(aut: Automaton, max_depth: int = 200) -> int | None:
         current = nxt
         depth += 1
     return None
+
+
+def escape_oracle(mat: BoolMatrix, k: int) -> dict:
+    """``evaluate_escape``'s fields from the definition, with column
+    supports as sets of row indices.
+
+    A matrix is in scope when it has no zero row or column, every row and
+    column weight is at most k, and some column has weight exactly k.  The
+    escape count of such a column c is the number of columns whose support
+    is not inside supp(c); ``value`` is its min over those c.  ``p`` is the
+    largest |supp(j) - supp(c)| over those c and every other column j, and
+    the refined fields repeat the min over the c where some j attains p.
+    """
+    n = mat.n
+    entries = as_lists(mat)
+    rows = [{j for j in range(n) if entries[i][j]} for i in range(n)]
+    supports = [{i for i in range(n) if entries[i][j]} for j in range(n)]
+    for kind, lines in (("row", rows), ("column", supports)):
+        for i, line in enumerate(lines):
+            if not line:
+                return {"member": False, "reason": f"zero {kind} {i}"}
+    for kind, lines in (("row", rows), ("column", supports)):
+        for i, line in enumerate(lines):
+            if len(line) > k:
+                return {"member": False, "reason": f"{kind} {i} has weight {len(line)} > {k}"}
+    heavy = [c for c in range(n) if len(supports[c]) == k]
+    if not heavy:
+        return {"member": False, "reason": f"no column of weight {k}"}
+
+    def escaping(c):
+        return [j for j in range(n) if not supports[j] <= supports[c]]
+
+    p = max(len(supports[j] - supports[c]) for c in heavy for j in range(n) if j != c)
+    refined = [
+        c for c in heavy if any(len(supports[j] - supports[c]) == p for j in range(n) if j != c)
+    ]
+    return {
+        "member": True,
+        "reason": None,
+        "value": min(len(escaping(c)) for c in heavy),
+        "columns": tuple(heavy),
+        "p": p,
+        "refined_value": min(len(escaping(c)) for c in refined),
+        "refined_columns": tuple(refined),
+    }

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rendezvous import BoolMatrix, MatrixSet, DimensionError, cpr_set, example_set
-from rendezvous.boolmat import max_weight
+from rendezvous.boolmat import max_column_weight
 from helpers import random_nz_matrix, random_nz_set, naive_product, as_lists
 
 
@@ -107,6 +107,12 @@ class TestPredicates:
         assert witness == (1, 0)
 
 
+def max_weight(a):
+    """Largest row or column weight: the column count on the transpose and
+    on ``a`` itself."""
+    return max(max_column_weight(a.n, a.transpose().rows), max_column_weight(a.n, a.rows))
+
+
 def weights(a):
     """Per-row and per-column weights of ``a``, the columns read off one
     transpose and checked against ``col``."""
@@ -119,16 +125,16 @@ class TestWeightProfile:
     def test_identity_profile(self):
         a = BoolMatrix.identity(4)
         assert weights(a) == ((1, 1, 1, 1), (1, 1, 1, 1))
-        assert max_weight(4, a.rows) == 1
+        assert max_weight(a) == 1
 
     def test_escape_example_matrix_columns(self):
         a = mat([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         assert weights(a)[1] == (2, 1, 2, 1)
-        assert max_weight(4, a.rows) == 2
+        assert max_weight(a) == 2
 
     def test_all_ones_profile(self):
         assert weights(BoolMatrix.ones(3)) == ((3, 3, 3), (3, 3, 3))
-        assert max_weight(3, BoolMatrix.ones(3).rows) == 3
+        assert max_weight(BoolMatrix.ones(3)) == 3
 
     def test_transpose_swaps_profiles(self):
         rng = random.Random(6)
@@ -138,7 +144,8 @@ class TestWeightProfile:
             (rows, cols), (t_rows, t_cols) = weights(a), weights(a.transpose())
             assert rows == t_cols
             assert cols == t_rows
-            assert max_weight(n, a.rows) == max_weight(n, a.transpose().rows)
+            assert max_column_weight(n, a.rows) == max(cols) == max(t_rows)
+            assert max_column_weight(n, a.transpose().rows) == max(rows) == max(t_cols)
 
 
 class TestTranspose:

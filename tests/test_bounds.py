@@ -113,6 +113,18 @@ class TestEvaluate:
         assert result.refined_columns == (0, 2)
         assert result.refined_value == 2
 
+    def test_refinement_can_raise_the_value(self):
+        # Column 2 escapes least (3 columns, each by one element); only
+        # column 1 is escaped by p = 2 elements (column 4 by {2, 4}).
+        result = evaluate_escape(
+            BoolMatrix.from_rows(
+                [[0, 1, 0, 0, 0], [1, 1, 1, 0, 0], [0, 0, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 1]]
+            ),
+            3,
+        )
+        assert (result.value, result.columns) == (3, (0, 1, 2))
+        assert (result.p, result.refined_columns, result.refined_value) == (2, (1,), 4)
+
     def test_non_nz_not_member(self):
         zero_col = BoolMatrix.from_rows([[1, 0], [1, 0]])
         result = evaluate_escape(zero_col, 1)

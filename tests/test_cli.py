@@ -1,7 +1,9 @@
 import hashlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 from rendezvous import (
     associated_automaton, automata, cpr_set, example_set, kari_set, subset_bfs,
 )
-from rendezvous.cli import main
+from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
+from rendezvous.cli import _cmd_witness, build_parser, main
 from helpers import subset_levels
 
 DATA = Path(__file__).parent / "data"
@@ -381,6 +384,8 @@ LOWER = str(DATA / "lower.set")
          "not-primitive: reducible: no path from state 0 to state 1\n"),
         (("heuristic", "--mode", "any", "--file", LOWER), 1, "",
          "not-primitive: reducible: no path from state 0 to state 1\n"),
+        (("figure", "fig5", "--file", ONE), 0, "n,k,quantity,value,ceil\n", ""),
+        (("figure", "fig6", "--file", ONE), 0, "n,k,quantity,value,ceil\n", ""),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
@@ -458,6 +463,10 @@ RECORDED_BOUND_TABLES = [
      "cc2152e475dfd3b1c0fbbaf68f052c7f8456f2a4162934de60e2281fc4921c52"),
     (("figure", "fig9", "--n-max", "150"),
      "36bf702a41f508f0151b0ee984c33e5f1753de397a14ae18fa68017093653ce7"),
+    (("bounds", "--n", "57", "--k", "9"),  # with the ahat_p rows
+     "57fc9df1ce303fe2734603f8a158e0119dbd5f8a477dbefaefdfd84a5052e72e"),
+    (("bounds", "--n", "40", "--k", "20", "--ceil-variant"),
+     "c1aff9506133ca2dae986d3e2f1c90908aceffffa96ffcf4c908296ed3aea83e"),
 ]
 
 
@@ -468,6 +477,25 @@ def test_bound_tables_match_recorded_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_witness_outputs_match_recorded_output():
+    # Every witness for 3 <= n <= 60, 2 <= k <= n-1, through one parser:
+    # building the parser per call would cost most of the test's time.
+    parser = build_parser()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for n in range(3, 61):
+            for k in range(2, n):
+                args = parser.parse_args(["witness", "--n", str(n), "--k", str(k)])
+                assert _cmd_witness(args) == 0, (n, k)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "af1c49b27ed4a1af8a8f0a21715316e28388262bd743bf5010fda1f780c10272"
+
+
+def test_bound_caches_keep_the_last_n_only(capsys):
+    assert run(capsys, "figure", "fig9", "--n-max", "30")[0] == 0
+    assert list(_B_TABLES) == list(_LIFT_GRIDS) == [30]
 
 
 def test_runs_without_numpy(capsys):

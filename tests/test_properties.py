@@ -5,8 +5,8 @@ maximal levels of a pairwise oracle), the set profile and the sandwich
 built on them, the pair-digraph BFS and the primitivity certificate (n up
 to 9), primitivity decided by the BFS to one singleton, the heuristic's
 per-k prefix lengths (n up to 8, transposes included), the set-file round
-trip and the B and lift tables, against the independent oracles in
-``helpers``."""
+trip, the B and lift tables and the escape count (n up to 10), against
+the independent oracles in ``helpers``."""
 
 import io
 import tempfile
@@ -28,6 +28,7 @@ from rendezvous import (
     bound_b_recursive,
     check_primitivity,
     cpr_set,
+    evaluate_escape,
     example_set,
     explore,
     is_primitive,
@@ -44,11 +45,12 @@ from rendezvous import (
     witness_replay,
 )
 from rendezvous.cli import main
-from rendezvous.boolmat import max_column_weight, max_weight, row_image
+from rendezvous.boolmat import max_column_weight, row_image
 from rendezvous.bounds import _LIFT_GRIDS, _lift_grid
 from helpers import (
     entry_leq,
     entry_max_weight,
+    escape_oracle,
     forward_reset_threshold,
     letter_set,
     lift_table_oracle,
@@ -125,7 +127,8 @@ def profile_lengths(result):
 @PROPERTY
 @given(st.one_of(st.integers(1, 5), st.integers(6, 130)).flatmap(matrices))
 def test_max_weight_matches_entry_oracle(mat):
-    assert max_weight(mat.n, mat.rows) == entry_max_weight(mat.rows)
+    row_side = max_column_weight(mat.n, mat.transpose().rows)
+    assert max(max_column_weight(mat.n, mat.rows), row_side) == entry_max_weight(mat.rows)
     columns = [sum((row >> j) & 1 for row in mat.rows) for j in range(mat.n)]
     assert max_column_weight(mat.n, mat.rows) == max(columns)
 
@@ -139,7 +142,8 @@ def test_max_weight_counts_past_one_word(count):
     rows = tuple(
         sum(1 << j for j in range(3) if i < count - j) for i in range(n - 1)
     ) + (0,)
-    assert max_weight(n, rows) == entry_max_weight(rows) == count
+    row_side = max_column_weight(n, BoolMatrix(n, rows).transpose().rows)
+    assert max(max_column_weight(n, rows), row_side) == entry_max_weight(rows) == count
 
 
 @PROPERTY
@@ -385,6 +389,30 @@ def test_fresh_lift_grid_every_column_matches_scalar_oracle(nk):
     grid = _lift_grid(n, k_max)
     for k in range(2, k_max + 1):
         assert grid[k] == [0, 0] + lift_table_oracle(n, k), k
+
+
+@st.composite
+def escape_inputs(draw):
+    """(matrix, k), n <= 10: a permutation plus drawn cells that keep every
+    row and column weight <= k, so the matrix is NZ and in scope unless no
+    column reaches weight k."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n - 1))
+    rows = [1 << p for p in draw(st.permutations(range(n)))]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cells, max_size=3 * n)):
+        if rows[i].bit_count() < k and sum((row >> j) & 1 for row in rows) < k:
+            rows[i] |= 1 << j
+    return BoolMatrix(n, tuple(rows)), k
+
+
+@settings(PROPERTY, max_examples=300)
+@given(escape_inputs())
+def test_evaluate_escape_matches_oracle(case):
+    mat, k = case
+    expected = escape_oracle(mat, k)
+    result = evaluate_escape(mat, k)
+    assert {name: getattr(result, name) for name in expected} == expected
 
 
 def assert_pair_bfs_matches_oracle(mset, targets):
