@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .automata import automata_searches, reached_length, set_profile
 from .boolmat import MatrixSet
 from .bounds import (
+    ScanReport,
     bound_b_recursive,
     bound_f,
     bound_f_table,
@@ -150,24 +151,24 @@ def scan_rows(n_values, k_values) -> list[str]:
         cell = report.cells[(n, k)]
         rows.append(long_row(n, k, "F_eq_B", int(cell.f_eq_b)))
         rows.append(long_row(n, k, "argmin_h", cell.argmin_h))
+    return rows + _threshold_rows(report)
+
+
+def threshold_rows(k_min: int, k_max: int, n_max: int) -> list[str]:
+    """Stabilization threshold per k against the conjectured onset curve."""
+    return _threshold_rows(scan_conjectures(range(2, n_max + 1), range(k_min, k_max + 1)))
+
+
+def _threshold_rows(report: ScanReport) -> list[str]:
+    """Per k, the conjectured onset and the observed threshold (when one
+    fits), both on the row of the largest scanned n."""
     n_top = report.n_values[-1]
+    rows = []
     for k in report.k_values:
         rows.append(long_row(n_top, k, "conjectured_n_k", report.conjectured[k]))
         threshold = report.thresholds[k]
         if threshold is not None:
             rows.append(long_row(n_top, k, "threshold_n", threshold))
-    return rows
-
-
-def threshold_rows(k_min: int, k_max: int, n_max: int) -> list[str]:
-    """Stabilization threshold per k against the conjectured onset curve."""
-    report = scan_conjectures(range(2, n_max + 1), range(k_min, k_max + 1))
-    rows = []
-    for k in report.k_values:
-        rows.append(long_row(n_max, k, "conjectured_n_k", report.conjectured[k]))
-        threshold = report.thresholds[k]
-        if threshold is not None:
-            rows.append(long_row(n_max, k, "threshold_n", threshold))
     return rows
 
 

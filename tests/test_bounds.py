@@ -366,7 +366,7 @@ class TestScan:
 
     def test_argmin_tracking(self):
         report = scan_conjectures(range(21, 31), [4])
-        assert report.argmin_always_two(4)
+        assert [cell.argmin_h for cell in report.cells.values()] == [2] * 10
 
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):

@@ -467,6 +467,8 @@ RECORDED_BOUND_TABLES = [
      "57fc9df1ce303fe2734603f8a158e0119dbd5f8a477dbefaefdfd84a5052e72e"),
     (("bounds", "--n", "40", "--k", "20", "--ceil-variant"),
      "c1aff9506133ca2dae986d3e2f1c90908aceffffa96ffcf4c908296ed3aea83e"),
+    (("figure", "fig7", "--k", "9", "--n-max", "150"),
+     "30a51140ae4a6192f6bbb08577ebf87b21a9f6f318c6cd35b94c3c7359d6ce84"),
 ]
 
 
@@ -494,8 +496,12 @@ def test_witness_outputs_match_recorded_output():
 
 
 def test_bound_caches_keep_the_last_n_only(capsys):
-    assert run(capsys, "figure", "fig9", "--n-max", "30")[0] == 0
+    assert run(capsys, "figure", "fig8", "--n-max", "30", "--k-max", "9")[0] == 0
     assert list(_B_TABLES) == list(_LIFT_GRIDS) == [30]
+    # fig9 builds one lift column per n and leaves the lift grid alone.
+    before = {n: [col[:] for col in grid] for n, grid in _LIFT_GRIDS.items()}
+    assert run(capsys, "figure", "fig9", "--n-max", "40")[0] == 0
+    assert _LIFT_GRIDS == before
 
 
 def test_runs_without_numpy(capsys):

@@ -46,7 +46,7 @@ from rendezvous import (
 )
 from rendezvous.cli import main
 from rendezvous.boolmat import max_column_weight, row_image
-from rendezvous.bounds import _LIFT_GRIDS, _lift_grid
+from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
 from helpers import (
     entry_leq,
     entry_max_weight,
@@ -369,8 +369,11 @@ def test_b_closed_form_equals_recursion(nk):
 @PROPERTY
 @given(st.integers(2, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))))
 def test_lift_grid_column_matches_scalar_oracle(nk):
+    # Column k from the cached grid and built alone, as ``bound_f`` does.
     n, k = nk
-    assert _lift_grid(n, k)[k] == [0, 0] + lift_table_oracle(n, k)
+    expected = [0, 0] + lift_table_oracle(n, k)
+    assert _lift_grid(n, k)[k] == expected
+    assert _lift_columns(n, k, k) == [expected]
 
 
 @settings(PROPERTY, max_examples=20)  # the oracle costs about k_max^3/6 steps
