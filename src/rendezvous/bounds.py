@@ -19,7 +19,8 @@ builds columns over h, one per k, each from the crossing of its two routes;
 a column reads no other column.  ``bound_f`` builds only the column it
 reads.  Tables over many k read the lift grid, those columns cached for
 the last n only (``_lift_grid``), and the B recursion is one table per
-variant grown on demand, also for the last n only (``_b_table``).  So a
+variant of integers over one even denominator per n, the form ``bound_f``'s
+min over h reads, grown on demand for the last n only (``_b_table``).  So a
 table over many k builds each column once, not once per cell.
 
 The escape count ``a``: for a matrix with all row/column weights <= k and a
@@ -188,8 +189,9 @@ def _b_poly(n: int, k: int) -> Fraction:
     return Fraction(n * (k**3 - 3 * k**2 + 8 * k - 12), 6) + 1
 
 
-def _b_increment(n: int, target: int, ceil_variant: bool) -> Fraction:
-    """Growth-step cost from weight target-1 to weight target.
+def _b_increment(n: int, target: int, ceil_variant: bool, denom: int) -> int:
+    """Growth-step cost from weight target-1 to weight target, times
+    ``denom``, which every step's denominator divides (see ``_b_table``).
 
     The default variant drops the ceiling on the (n-k)/k term, matching the
     closed form exactly; branch selection goes by the target weight.  The
@@ -198,37 +200,38 @@ def _b_increment(n: int, target: int, ceil_variant: bool) -> Fraction:
     """
     step = target - 1
     if ceil_variant:
-        return Fraction(n * (1 + n - _escape_rate(n, step, step)), 2)
-    s = math.isqrt(n)
-    half = n // 2
-    if target <= s:
-        return Fraction(n * (2 + step * (step - 1)), 2)
-    if target <= half:
-        return n + Fraction(n * n * (step - 1), 2 * step)
-    return Fraction(n * n, 2)
+        return n * (1 + n - _escape_rate(n, step, step)) * denom // 2
+    if target <= math.isqrt(n):
+        return n * (2 + step * (step - 1)) * denom // 2
+    if target <= n // 2:
+        return n * denom + n * n * (step - 1) * (denom // (2 * step))
+    return n * n * denom // 2
 
 
-_B_TABLES: dict[int, tuple[list[Fraction], list[Fraction]]] = {}
+_B_TABLES: dict[int, tuple[int, list[int], list[int]]] = {}
 
 
-def _b_table(n: int, k_max: int, ceil_variant: bool) -> list[Fraction]:
-    """Cumulative bound values for k in [2, k_max] and possibly beyond,
-    index k-2; one table per variant, grown on demand, kept for the last n
-    only (no caller returns to an earlier n)."""
+def _b_table(n: int, k_max: int, ceil_variant: bool) -> tuple[int, list[int]]:
+    """(D, cumulative bound values times D) for k in [2, k_max] and possibly
+    beyond, index k-2.  D = 2 lcm(isqrt(n), ..., n//2 - 1) is a multiple of
+    every step's denominator: 2 step in the middle regime, 2 otherwise.  One
+    table per variant, grown on demand, kept for the last n only."""
     tables = _B_TABLES.get(n)
     if tables is None:
         _B_TABLES.clear()
-        tables = _B_TABLES[n] = ([Fraction(1)], [Fraction(1)])
-    values = tables[ceil_variant]
+        denom = 2 * math.lcm(*range(math.isqrt(n), n // 2))
+        tables = _B_TABLES[n] = (denom, [denom], [denom])
+    denom, values = tables[0], tables[1 + ceil_variant]
     while len(values) < k_max - 1:
-        values.append(values[-1] + _b_increment(n, len(values) + 2, ceil_variant))
-    return values
+        values.append(values[-1] + _b_increment(n, len(values) + 2, ceil_variant, denom))
+    return denom, values
 
 
 def bound_b_recursive(n: int, k: int, ceil_variant: bool = False) -> Fraction:
     """Recursively accumulated growth bound on the k-rendezvous time."""
     _validate_nk(n, k)
-    return _b_table(n, k, ceil_variant)[k - 2]
+    denom, values = _b_table(n, k, ceil_variant)
+    return Fraction(values[k - 2], denom)
 
 
 def bound_b_closed(n: int, k: int) -> Fraction:
@@ -347,20 +350,12 @@ def lift_bound(n: int, k: int, h: int) -> Fraction:
     return Fraction(_lift_grid(n, k)[k][h], 2)
 
 
-def _scaled_b(n: int, k_max: int) -> tuple[list[int], int]:
-    """B(n, h) for h in [2, k_max] (index h-2) as integers over one even
-    common denominator, returned with it, so a min over h avoids per-step
-    rational normalization."""
-    b_values = _b_table(n, k_max, False)[: k_max - 1]
-    denom = 2 * math.lcm(*(b.denominator for b in b_values))
-    return [b.numerator * (denom // b.denominator) for b in b_values], denom
-
-
-def _f_min(scaled_b: list[int], denom: int, lifts: list[int], k: int) -> tuple[Fraction, int]:
+def _f_min(denom: int, b_values: list[int], lifts: list[int], k: int) -> tuple[Fraction, int]:
     """min over h in [2, k] of B(n, h) + lift(n, k, h), smallest h on ties;
-    ``lifts[h]`` is the doubled lift cost from lift column k."""
+    ``b_values`` and ``denom`` come from ``_b_table``, and ``lifts[h]`` is
+    the doubled lift cost from lift column k."""
     half = denom // 2
-    best, arg = min((scaled_b[h - 2] + lifts[h] * half, h) for h in range(2, k + 1))
+    best, arg = min((b_values[h - 2] + lifts[h] * half, h) for h in range(2, k + 1))
     return Fraction(best, denom), arg
 
 
@@ -369,16 +364,15 @@ def bound_f(n: int, k: int) -> tuple[Fraction, int]:
     lift cost from h to k.  Returns (value, achieving h); ties go to the
     smallest h.  Never exceeds bound_b_recursive(n, k)."""
     _validate_nk(n, k)
-    scaled_b, denom = _scaled_b(n, k)
-    return _f_min(scaled_b, denom, _lift_columns(n, k, k)[0], k)
+    return _f_min(*_b_table(n, k, False), _lift_columns(n, k, k)[0], k)
 
 
 def bound_f_table(n: int, k_max: int) -> dict[int, tuple[Fraction, int]]:
     """``bound_f`` for every k in [2, k_max] from one lift grid and one B table."""
     _validate_nk(n, k_max)
     lifts = _lift_grid(n, k_max)
-    scaled_b, denom = _scaled_b(n, k_max)
-    return {k: _f_min(scaled_b, denom, lifts[k], k) for k in range(2, k_max + 1)}
+    denom, b_values = _b_table(n, k_max, False)
+    return {k: _f_min(denom, b_values, lifts[k], k) for k in range(2, k_max + 1)}
 
 
 def szykula_bound(n: int) -> Fraction:

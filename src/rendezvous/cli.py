@@ -7,6 +7,7 @@ category.  All outputs are deterministic functions of the flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import tables
@@ -46,7 +47,9 @@ def _add_limits(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-states", type=int, default=None, help="BFS state limit")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="rendezvous",
         description="Exponents, k-rendezvous times and bound tables for "
@@ -381,8 +384,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for limit in ("max_depth", "max_states", "letter_cap"):
             _flag(args, limit)

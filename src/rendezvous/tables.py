@@ -48,6 +48,18 @@ def to_csv(header: str, rows: Iterable[str]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _measured_vs_bounds_rows(n: int, quantity: str, lengths, include_f: bool) -> list[str]:
+    """Per (k, length) of a measured quantity: its row, then F (if asked) and B."""
+    f_table = bound_f_table(n, n) if include_f and n >= 2 else None
+    rows = []
+    for k, length in lengths:
+        rows.append(long_row(n, k, quantity, length))
+        if include_f:
+            rows.append(long_row(n, k, "F", f_table[k][0]))
+        rows.append(long_row(n, k, "B", bound_b_recursive(n, k)))
+    return rows
+
+
 def rt_vs_bounds_rows(
     mset: MatrixSet,
     include_f: bool,
@@ -58,19 +70,14 @@ def rt_vs_bounds_rows(
     k not reached is a limit error."""
     n = mset.n
     result = set_profile(mset, max_depth, max_states)
-    f_table = bound_f_table(n, n) if include_f and n >= 2 else None
-    rows = []
+    lengths = []
     for k in range(2, n + 1):
         if result.limit is None and k not in result.krt:
             raise SearchLimitError(
                 f"exact rt_{k} not found (semigroup exhausted; set is not primitive)"
             )
-        rt = reached_length(result, result.krt.get(k), f"exact rt_{k}")
-        rows.append(long_row(n, k, "rt", rt))
-        if include_f:
-            rows.append(long_row(n, k, "F", f_table[k][0]))
-        rows.append(long_row(n, k, "B", bound_b_recursive(n, k)))
-    return rows
+        lengths.append((k, reached_length(result, result.krt.get(k), f"exact rt_{k}")))
+    return _measured_vs_bounds_rows(n, "rt", lengths, include_f)
 
 
 def heuristic_vs_bounds_rows(
@@ -82,17 +89,11 @@ def heuristic_vs_bounds_rows(
     """Heuristic per-k lengths next to the bounds for one set."""
     n = mset.n
     trace = run_heuristic(mset, mode=mode)
-    f_table = bound_f_table(n, n) if include_f and n >= 2 else None
-    ks = [only_k] if only_k is not None else list(range(2, n + 1))
-    rows = []
-    for k in ks:
-        if not 2 <= k <= n:
-            raise ValueError(f"k={k} out of range [2, {n}]")
-        rows.append(long_row(n, k, "heuristic", trace.per_k_length[k]))
-        if include_f:
-            rows.append(long_row(n, k, "F", f_table[k][0]))
-        rows.append(long_row(n, k, "B", bound_b_recursive(n, k)))
-    return rows
+    if only_k is not None and not 2 <= only_k <= n:
+        raise ValueError(f"k={only_k} out of range [2, {n}]")
+    ks = [only_k] if only_k is not None else range(2, n + 1)
+    lengths = [(k, trace.per_k_length[k]) for k in ks]
+    return _measured_vs_bounds_rows(n, "heuristic", lengths, include_f)
 
 
 def bounds_rows(n: int, ks: Sequence[int], ceil_variant: bool = False) -> list[str]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -232,6 +233,24 @@ class TestBoundB:
         for n in range(2, 41):
             for k in range(2, n + 1):
                 assert bound_b_recursive(n, k, ceil_variant=True) <= bound_b_recursive(n, k)
+
+    def test_ceil_variant_matches_its_sum(self):
+        # 1 + sum over s in [2, k-1] of n(1+n-a_s)/2, with a_s the exact
+        # escape lower bound max(n-s(s-1)-1, ceil((n-s)/s), 1).
+        for n in range(2, 81):
+            total = Fraction(1)
+            for k in range(2, n + 1):
+                if k > 2:
+                    s = k - 1
+                    a = max(n - s * (s - 1) - 1, -(-(n - s) // s), 1)
+                    total += Fraction(n * (1 + n - a), 2)
+                assert bound_b_recursive(n, k, ceil_variant=True) == total, (n, k)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_recursive_equals_closed_at_the_regime_edges(self, n):
+        s, half = math.isqrt(n), n // 2
+        for k in (2, 3, s, s + 1, s + 2, half - 1, half, half + 1, half + 2, n):
+            assert bound_b_recursive(n, k) == bound_b_closed(n, k), (n, k)
 
     def test_out_of_range(self):
         for bad in [(1, 2), (5, 1), (5, 6)]:

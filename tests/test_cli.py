@@ -481,6 +481,33 @@ def test_bound_tables_match_recorded_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the measured-versus-bounds figures: per k, the measured row,
+# then F when the figure has it, then B.
+RECORDED_FIGURE_TABLES = [
+    (("fig2a",), "122ba35eb05001fe873ea2ec6b9debf6cbfc684b0f282b3390fa2011e356ab7c"),
+    (("fig2b",), "75a492223535d3996889dce0d2af2f91e79e139770caf6b0a425de52be03ecb7"),
+    (("fig3", "--file", "perm70.set"),
+     "b4c9d8dbaf92c662ae85b1d9e359ce4914b0f71c53b323c5077a631ef581a7ca"),
+    (("fig5",), "a426f59c7757c1e5501af3273b6347dba02ce2c1000618d24305de9f1f0466b7"),
+    (("fig5", "--file", "kari.set"),
+     "b0eabc10eacabf1fcafd27a8c4542a3ad6470539746feb42b07544801dc0593d"),
+    (("fig6", "--file", "perm70.set", "--mode", "any"),
+     "6c5e70b07dcad5274a929fec868e4697c823e5090d2045531fb33bbbe19a12ad"),
+    (("fig4", "--file", "cpr.set", "--file", "kari.set", "--k", "3"),
+     "eb54ea8e2f3b96c2a5604121ac8f873b9763bc0a672c6e85c58503e2a1331799"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", RECORDED_FIGURE_TABLES, ids=[" ".join(a) for a, _ in RECORDED_FIGURE_TABLES]
+)
+def test_figure_tables_match_recorded_output(capsys, argv, digest):
+    argv = [str(DATA / a) if a.endswith(".set") else a for a in argv]
+    code, out, _ = run(capsys, "figure", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_witness_outputs_match_recorded_output():
     # Every witness for 3 <= n <= 60, 2 <= k <= n-1, through one parser:
     # building the parser per call would cost most of the test's time.
@@ -493,6 +520,30 @@ def test_witness_outputs_match_recorded_output():
                 assert _cmd_witness(args) == 0, (n, k)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == "af1c49b27ed4a1af8a8f0a21715316e28388262bd743bf5010fda1f780c10272"
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # ``main`` reuses one parser; what a call parsed (above all the
+    # ``--file`` append list) must not reach the next call.
+    cpr, kari = str(DATA / "cpr.set"), str(DATA / "kari.set")
+    calls = [
+        ("figure", "fig4", "--file", cpr, "--file", kari, "--k", "3"),
+        ("figure", "fig4", "--file", kari, "--k", "3"),
+        ("check", "--file", cpr, "--builtin", "kari"),  # argparse rejects it
+        ("check", "--builtin", "kari"),
+    ]
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_python("-m", "rendezvous", *argv)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()
+        ), argv
+    assert code == 0 and "primitive: true" in captured.out
+    assert build_parser() is build_parser()
 
 
 def test_bound_caches_keep_the_last_n_only(capsys):
