@@ -15,13 +15,13 @@ Two bound families are computed, both exact rationals:
   splitting point h.
 
 Each recurrence has one implementation.  The lift DP (``_lift_columns``)
-builds columns over h, one per k, each from the crossing of its two routes;
-a column reads no other column.  ``bound_f`` builds only the column it
-reads.  Tables over many k read the lift grid, those columns cached for
-the last n only (``_lift_grid``), and the B recursion is one table per
-variant of integers over one even denominator per n, the form ``bound_f``'s
-min over h reads, grown on demand for the last n only (``_b_table``).  So a
-table over many k builds each column once, not once per cell.
+is one loop over h that fills a call's columns, one per k, from the
+crossing of their two routes, building the blocks of p of each h only as
+far as a crossing needs; a column reads no other column.  ``bound_f``
+builds only the column it reads.  Tables over many k read the lift grid,
+cached for the last n only (``_lift_grid``), and the B recursion is one
+table per variant of integers over one denominator per n, grown on demand
+for the last n only (``_b_table``); so a table builds each column once.
 
 The escape count ``a``: for a matrix with all row/column weights <= k and a
 column c of weight exactly k, count the columns whose support is not inside
@@ -282,43 +282,42 @@ def _lift_columns(n: int, first: int, k_max: int) -> list[list[int]]:
        J <= S, G(h) = max(J_j, S_{j-1}); if no block crosses, G(h) is S at
        the last block.
 
-    A column reads only its own entries and the blocks of h < k, never
-    another column, so columns are independent.  Each h searches its
-    crossing forward from block 0: the crossing's mean block index is 1.2
-    to 1.9 over whole grids at n = 120, 200 and 1000 and over fig8's
-    grids, so a column costs O(k) steps after its blocks are built.
+    A column reads only its own entries and the blocks of h, never another
+    column, so columns are independent.  One loop runs h down from
+    k_max - 1 over every column k > h of the call; the blocks of h are
+    built on demand, when some column's walk passes the last one built, and
+    shared by those columns.  Each walk searches its crossing forward from
+    block 0, and the crossing's mean block index is 1.2 to 1.9 over whole
+    grids at n = 120, 200 and 1000 and over fig8's grids, so an h builds a
+    few of its O(sqrt(n-h)) blocks and a column costs O(k) steps.
     """
     e2 = n * (n - 1)
-    # Per h, per block: h + p at its start (where its jump lands) and
-    # n(2 - a_p), so that J <= S reads G(h+p) <= G(h+1) + n(2 - a_p).
-    blocks = [([], [])] * 2
-    for h in range(2, k_max):
+    columns = [[0] * (2 * k) for k in range(first, k_max + 1)]  # h + p <= 2h reads zeros past k
+    for h in range(k_max - 1, 1, -1):
         rest, floor = n - h, max(n - h * (h - 1) - 1, 1)
         top = min(h, rest)
-        lands, gaps = [], []
-        p = 1
-        while p <= top:
-            a = max(floor, _ceildiv(rest, p))  # _escape_rate(n, h, p)
-            lands.append(h + p)
-            gaps.append(n * (2 - a))
-            if a == floor:
-                break
-            p = _ceildiv(rest, a - 1)
-        blocks.append((lands, gaps))
-    columns = []
-    for k in range(first, k_max + 1):
-        col = [0] * (2 * k)  # h + p <= 2h reads zeros past k
-        for h in range(k - 1, 1, -1):
-            lands, gaps = blocks[h]
-            base, last, j = col[h + 1], len(lands), 0
-            while j < last and col[lands[j]] > base + gaps[j]:
+        # Per block: h + p at its start (where its jump lands) and n(2 - a_p),
+        # so that J <= S reads G(h+p) <= G(h+1) + n(2 - a_p); a is the last's a_p.
+        a = max(floor, rest)
+        lands, gaps = [h + 1], [n * (2 - a)]
+        for col in columns[max(h + 1 - first, 0) :]:
+            base, j = col[h + 1], 0
+            while True:
+                if j == len(lands):
+                    if a == floor or (p := _ceildiv(rest, a - 1)) > top:
+                        break
+                    a = max(floor, _ceildiv(rest, p))  # _escape_rate(n, h, p)
+                    lands.append(h + p)
+                    gaps.append(n * (2 - a))
+                if col[lands[j]] <= base + gaps[j]:
+                    break
                 j += 1
-            if j < last and (not j or col[lands[j]] >= base + gaps[j - 1]):
+            if j < len(lands) and (not j or col[lands[j]] >= base + gaps[j - 1]):
                 col[h] = col[lands[j]] + e2
             else:
                 col[h] = base + gaps[j - 1] + e2
+    for k, col in enumerate(columns, first):
         del col[k + 1 :]
-        columns.append(col)
     return columns
 
 

@@ -28,7 +28,19 @@ from .pairgraph import check_primitivity
 from .semigroup import explore
 from .setfile import parse_set_file
 
-FIGURES = ("fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9")
+# The flags each figure reads; giving it any other flag is a domain error.
+FIGURE_FLAGS = {
+    "fig2a": ("max_depth", "max_states"),
+    "fig2b": ("max_depth", "max_states"),
+    "fig3": ("file", "mode"),
+    "fig4": ("file", "mode", "k"),
+    "fig5": ("builtin", "file", "max_depth", "max_states"),
+    "fig6": ("file", "mode"),
+    "fig7": ("k", "n_max"),
+    "fig8": ("k_max", "n_max"),
+    "fig9": ("n_max",),
+}
+FIGURES = tuple(FIGURE_FLAGS)
 
 
 def _add_set_source(parser: argparse.ArgumentParser) -> None:
@@ -102,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=FIGURES)
     _add_set_source(p)
     _add_limits(p)
-    p.add_argument("--letter-cap", type=int, default=DEFAULT_LETTER_CAP)
-    p.add_argument("--mode", choices=("specific", "any"), default="specific")
+    p.add_argument("--mode", choices=("specific", "any"), default=None, help="default specific")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
@@ -323,7 +334,10 @@ def _cmd_scan(args) -> int:
 
 def _cmd_figure(args) -> int:
     name = args.name
-    mode = args.mode
+    for flag, value in vars(args).items():
+        if value is not None and flag not in ("command", "name", *FIGURE_FLAGS[name]):
+            raise ValueError(f"figure {name} does not read --{flag.replace('_', '-')}")
+    mode = args.mode or "specific"
     header = tables.LONG_HEADER
     if name == "fig2a":
         rows = tables.rt_vs_bounds_rows(
@@ -346,6 +360,9 @@ def _cmd_figure(args) -> int:
         if not isinstance(sets, list):
             raise ValueError("figure fig4 needs at least one --file")
         k = args.k if args.k is not None else 4
+        for mset in sets:  # before any heuristic runs
+            if not 2 <= k <= mset.n:
+                raise ValueError(f"k={k} out of range [2, {mset.n}]")
         rows = []
         for mset in sets:
             rows.extend(tables.heuristic_vs_bounds_rows(mset, False, mode, only_k=k))

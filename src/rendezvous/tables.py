@@ -86,11 +86,10 @@ def heuristic_vs_bounds_rows(
     mode: str = "specific",
     only_k: int | None = None,
 ) -> list[str]:
-    """Heuristic per-k lengths next to the bounds for one set."""
+    """Heuristic per-k lengths next to the bounds for one set, at every k
+    or at ``only_k`` alone, which the caller checks lies in [2, n]."""
     n = mset.n
     trace = run_heuristic(mset, mode=mode)
-    if only_k is not None and not 2 <= only_k <= n:
-        raise ValueError(f"k={only_k} out of range [2, {n}]")
     ks = [only_k] if only_k is not None else range(2, n + 1)
     lengths = [(k, trace.per_k_length[k]) for k in ks]
     return _measured_vs_bounds_rows(n, "heuristic", lengths, include_f)

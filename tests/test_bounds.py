@@ -20,7 +20,7 @@ from rendezvous import (
     scan_conjectures,
     szykula_bound,
 )
-from rendezvous.bounds import _LIFT_GRIDS, _lift_grid
+from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
 from helpers import bound_f_oracle, lift_table_oracle
 
 # Matrices from the worked escape-count example at n=4, k=2.
@@ -305,6 +305,16 @@ class TestLiftBound:
             assert list(_LIFT_GRIDS) == [n]
             for k in range(2, k_max + 1):
                 assert grid[k] == [0, 0] + lift_table_oracle(n, k), (n, k_max, k)
+
+    def test_every_column_and_split_grid_match_scalar_oracle(self):
+        # The blocks of each h are built lazily and shared by the columns of
+        # one call, so check every single column and a grid built in two calls.
+        for n in range(3, 61):
+            expected = [[0, 0] + lift_table_oracle(n, k) for k in range(2, n + 1)]
+            for k in range(2, n + 1):
+                assert _lift_columns(n, k, k)[0] == expected[k - 2], (n, k)
+            j = 2 + n * 13 % (n - 2)  # a split in [2, n-1] that varies with n
+            assert _lift_columns(n, 2, j) + _lift_columns(n, j + 1, n) == expected, (n, j)
 
     def test_validation(self):
         with pytest.raises(ValueError):

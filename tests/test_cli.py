@@ -320,6 +320,7 @@ class TestErrors:
 
 
 ONE = str(DATA / "one.set")
+KARI = str(DATA / "kari.set")
 SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets it
 # Reducible, yet every pair reaches (0, 0), the heuristic's seed singleton.
 LOWER = str(DATA / "lower.set")
@@ -386,6 +387,16 @@ LOWER = str(DATA / "lower.set")
          "not-primitive: reducible: no path from state 0 to state 1\n"),
         (("figure", "fig5", "--file", ONE), 0, "n,k,quantity,value,ceil\n", ""),
         (("figure", "fig6", "--file", ONE), 0, "n,k,quantity,value,ceil\n", ""),
+        # A figure fails on a flag it does not read.
+        (("figure", "fig6", "--file", KARI, "--k", "99"), 1, "",
+         "domain: figure fig6 does not read --k\n"),
+        (("figure", "fig2a", "--file", KARI), 1, "",
+         "domain: figure fig2a does not read --file\n"),
+        (("figure", "fig9", "--n-max", "5", "--mode", "any", "--builtin", "kari"), 1, "",
+         "domain: figure fig9 does not read --builtin\n"),
+        # fig4 checks --k against every set before any heuristic runs.
+        (("figure", "fig4", "--file", SWAP, "--k", "99"), 1, "",
+         "domain: k=99 out of range [2, 2]\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
