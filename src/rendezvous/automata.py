@@ -14,8 +14,8 @@ shortest word mapping k states onto one.  ``set_profile`` runs the search
 on a set's generators and on their transposes and takes the minimum: the
 paper's rt_k(M) = min(rt_k(Aut M), rt_k(Aut M^T)), without building Aut.
 The search is ``semigroup.LevelSearch`` with subsets as keys, each viewed
-as one bit row; each level keeps only its maximal new subsets, which is
-exact since S within T implies pre_a(S) within pre_a(T).
+as the bytes of its mask; each level keeps only its maximal new subsets,
+which is exact since S within T implies pre_a(S) within pre_a(T).
 """
 
 from __future__ import annotations
@@ -145,11 +145,12 @@ def subset_bfs(
     full = (1 << n) - 1
     result = SubsetBfsResult(n=n)
     columns = [letter.transpose().rows for letter in letters]
+    mask_bytes = (n + 7) // 8
     search = LevelSearch(
         result,
         len(columns),
         lambda mask, a: row_image(columns[a], mask),
-        lambda mask: (mask,),
+        lambda mask: mask.to_bytes(mask_bytes, "little"),
         [(1 << q, -1) for q in range(n)],
         0,
         max_depth,

@@ -15,12 +15,14 @@ level keeps only its maximal new products, those no other new product of
 the level lies entrywise below: if A <= B then AW <= BW for every word W,
 so a dominated product never reaches the all-ones matrix first (the
 induction is in ``LevelSearch``).  The dominated ones are found with a
-level-local index, one bitset per entry (i, j) over the kept products,
-heaviest first.  On kari this stores 45,223 products instead of the
-832,573 distinct products up to the exponent.  A child row is the
-``row_image`` of the parent row under the generator, memoized per
-generator.  ``note_first_reach`` is the one first-reach recorder, shared
-by the subset search and the heuristic.
+level-local index over the kept products, heaviest first: one bitset per
+bit of each byte-sized digit of the key, and one memoised AND of those
+bitsets per digit value, so a candidate's test is one lookup per digit.
+On kari this stores 45,223 products instead of the 832,573 distinct
+products up to the exponent.  A child row is the ``row_image`` of the
+parent row under the generator, memoized per generator.
+``note_first_reach`` is the one first-reach recorder, shared by the subset
+search and the heuristic.
 
 Everything is deterministic given generator order: each level is collected
 in discovery order with children in generator order, and its maximal keys
@@ -29,11 +31,13 @@ are kept in that order, so the stored witness words are reproducible.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from operator import and_, getitem
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import DimensionError
@@ -99,61 +103,64 @@ class SearchResult(LevelResult):
     exponent: Reach | None = None
 
 
-def _dominated(
-    slots: list[list[int]],
-    rows: tuple[int, ...],
-    positions: Callable[[int], tuple[int, ...]],
-    acc: int,
-) -> bool:
-    """Whether some candidate of bitset ``acc`` has every set entry of
-    ``rows``: the AND of ``acc`` and the slots of those entries is nonzero.
-    Exits as soon as the AND is zero."""
-    for slot, row in zip(slots, rows):
-        for j in positions(row):
-            acc &= slot[j]
-            if not acc:
-                return False
-    return acc != 0
+_BYTE_BITS = tuple(tuple(bits(value)) for value in range(256))
+
+
+class _Meets(dict):
+    """Digit value -> AND of one digit position's slots over the value's set
+    bits, filled on demand; 0 maps to -1, the empty AND."""
+
+    def __init__(self, slot: list[int]):
+        super().__init__({0: -1})
+        self.slot = slot
+
+    def __missing__(self, value: int) -> int:
+        low = value & -value
+        meet = self[value ^ low] & self.slot[low.bit_length() - 1]
+        self[value] = meet
+        return meet
 
 
 def _maximal(
-    candidates: list[tuple[K, int, int]], rows: Callable[[K], tuple[int, ...]], width: int
+    candidates: list[tuple[K, int, int]], digits: Callable[[K], Sequence[int]]
 ) -> list[tuple[K, int, int]]:
     """The distinct ``(key, parent, letter)`` candidates (at least one)
     whose key no other candidate's key dominates, in their given order.
 
-    A strict dominator has more set entries, so candidates are taken in
+    A strict dominator has more set bits, so candidates are taken in
     classes of equal weight, heaviest first, and each is tested only
-    against the kept candidates of heavier classes.  Slot (i, j) is a
-    bitset over those with entry (i, j) set; a candidate is dominated iff
-    the AND of the slots of its set entries is nonzero.  A class's kept
-    candidates join the slots together once the class is done, so a slot
-    grows once per class rather than once per candidate.
+    against the kept candidates of heavier classes.  Slot b of digit
+    position p is a bitset over those with bit b of digit p set; a
+    candidate is dominated iff the AND of the slots of its set bits is
+    nonzero.  That AND is one table lookup per digit: per class, ``_Meets``
+    memoises the AND of a digit value's slots, valid until the class's kept
+    candidates join the slots together, once per distinct digit value.
     """
-    positions = functools.cache(lambda row: tuple(bits(row)))
-    views = [rows(key) for key, _, _ in candidates]
+    views = [digits(key) for key, _, _ in candidates]
     weights = [sum(map(int.bit_count, view)) for view in views]
-    slots = [[0] * width for _ in views[0]]
+    slots = [[0] * 8 for _ in views[0]]
     keep = [False] * len(views)
     kept = 0
     order = sorted(range(len(views)), key=weights.__getitem__, reverse=True)
     for _, group in itertools.groupby(order, weights.__getitem__):
         start = kept
         heavier = (1 << start) - 1
-        fresh = [[0] * width for _ in slots]
+        meets = [_Meets(slot) for slot in slots]
+        fresh = [collections.defaultdict(int) for _ in slots]
         for c in group:
-            if _dominated(slots, views[c], positions, heavier):
+            view = views[c]
+            if heavier and functools.reduce(and_, map(getitem, meets, view), heavier):
                 continue
             keep[c] = True
             bit = 1 << (kept - start)
             kept += 1
-            for slot, row in zip(fresh, views[c]):
-                for j in positions(row):
-                    slot[j] |= bit
-        for slot, new in zip(slots, fresh):
-            for j, extra in enumerate(new):
-                if extra:
-                    slot[j] |= extra << start
+            for values, value in zip(fresh, view):
+                values[value] |= bit
+        for slot, values in zip(slots, fresh):
+            for value, extra in values.items():
+                extra <<= start
+                for b in _BYTE_BITS[value]:
+                    slot[b] |= extra
     return list(itertools.compress(candidates, keep))
 
 
@@ -164,9 +171,12 @@ class LevelSearch:
 
     The roots, ``(key, letter)`` pairs with letter -1 for none, form level
     ``depth``; a key at level d has children ``child(key, a)`` at level
-    d + 1 for letters a in 0..m-1.  ``rows(key)`` views a key as bit rows
-    of width ``result.n``; key A is dominated by key B when every set entry
-    of A is set in B.  A level's candidates are the keys not seen before,
+    d + 1 for letters a in 0..m-1.  ``digits(key)`` views a key as a
+    sequence of byte-sized digits (ints below 256), of the same length for
+    every key of the search; key A is dominated by key B when every set bit
+    of A's digits is set in B's.  A product's digits are its bit rows cut
+    into bytes (at n <= 8, its rows themselves), a subset's the bytes of
+    its mask.  A level's candidates are the keys not seen before,
     collected by expanding the previous level in discovery order and the
     letters in index order.  Every candidate joins ``seen``, but only the
     maximal ones (no other candidate of the level dominates them) are
@@ -196,7 +206,7 @@ class LevelSearch:
         result: LevelResult,
         m: int,
         child: Callable[[K, int], K],
-        rows: Callable[[K], tuple[int, ...]],
+        digits: Callable[[K], Sequence[int]],
         roots: Iterable[tuple[K, int]],
         depth: int,
         max_depth: int | None,
@@ -209,7 +219,7 @@ class LevelSearch:
         self.result = result
         self.m = m
         self.child = child
-        self.rows = rows
+        self.digits = digits
         self.roots = roots
         self.depth = depth
         self.max_depth = math.inf if max_depth is None else max_depth
@@ -245,7 +255,7 @@ class LevelSearch:
             if not level:
                 result.exhausted = True
                 return
-            survivors = _maximal(level, self.rows, result.n)
+            survivors = _maximal(level, self.digits)
             result.pruned += len(level) - len(survivors)
             start = len(keys)
             for key, parent, letter in survivors:
@@ -308,11 +318,15 @@ def explore(
     result = SearchResult(n=n)
     ones = ((1 << n) - 1,) * n
     images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
+    # Digits are bytes, so at n <= 8 a key (a tuple of rows) is its own digits.
+    row_bytes = (n + 7) // 8
     search = LevelSearch(
         result,
         mset.m,
         lambda key, g: tuple(map(images[g], key)),
-        lambda key: key,
+        (lambda key: key) if n <= 8 else lambda key: b"".join(
+            [row.to_bytes(row_bytes, "little") for row in key]
+        ),
         [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)],
         1,
         default_max_depth(n) if max_depth is None else max_depth,

@@ -115,25 +115,30 @@ def entry_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     )
 
 
-def maximal_levels(roots, children, cap: int = 200_000) -> tuple[list[set], int]:
+def maximal(cands) -> set:
+    """The keys of ``cands`` (bit-row tuples) that no other key lies below,
+    compared pairwise with ``entry_leq``."""
+    return {a for a in cands if not any(b != a and entry_leq(a, b) for b in cands)}
+
+
+def maximal_levels(
+    roots, children, cap: int = 200_000, depth: int | None = None
+) -> tuple[list[set], int]:
     """The stored levels of a search that keeps each level's maximal new
     keys, and the number of distinct keys it met (kept or not).
 
     Level 0 is the maximal roots; the next level is every child of the
     current level not seen before (every candidate, kept or not, counts as
-    seen), filtered pairwise to the keys no other candidate lies below.
-    Keys are bit-row tuples compared with ``entry_leq``.  Stops at the
-    first level with no candidate.
+    seen), filtered pairwise by ``maximal``.  Stops at the first level with
+    no candidate, or once it holds ``depth`` levels.
     """
-
-    def maximal(cands: set) -> set:
-        return {a for a in cands if not any(b != a and entry_leq(a, b) for b in cands)}
-
     seen = set(roots)
     level = maximal(seen)
     levels = []
     while level:
         levels.append(level)
+        if len(levels) == depth:
+            break
         cands = {c for key in level for c in children(key)} - seen
         seen |= cands
         if len(seen) > cap:
@@ -142,14 +147,20 @@ def maximal_levels(roots, children, cap: int = 200_000) -> tuple[list[set], int]
     return levels, len(seen)
 
 
-def product_levels(mset: MatrixSet) -> tuple[list[set[tuple[int, ...]]], int]:
+def product_levels(
+    mset: MatrixSet, depth: int | None = None
+) -> tuple[list[set[tuple[int, ...]]], int]:
     """``maximal_levels`` of the forward products, level 0 holding the
     generators (products of length 1)."""
     gens = [g.rows for g in mset.generators]
-    return maximal_levels(gens, lambda rows: [row_tuple_product(rows, g) for g in gens])
+    return maximal_levels(
+        gens, lambda rows: [row_tuple_product(rows, g) for g in gens], depth=depth
+    )
 
 
-def subset_levels(n: int, letters) -> tuple[list[set[tuple[int]]], int]:
+def subset_levels(
+    n: int, letters, depth: int | None = None
+) -> tuple[list[set[tuple[int]]], int]:
     """``maximal_levels`` of the letter preimages of single states, as
     1-row keys ``(mask,)``; level d holds subsets of length-d words.  The
     preimage of S under a letter is the set of states whose row meets S,
@@ -163,15 +174,17 @@ def subset_levels(n: int, letters) -> tuple[list[set[tuple[int]]], int]:
             for letter in letters
         ]
 
-    return maximal_levels([(1 << q,) for q in range(n)], preimages)
+    return maximal_levels([(1 << q,) for q in range(n)], preimages, depth=depth)
 
 
 def stored_levels(search) -> list[set]:
     """A ``LevelSearch``'s stored keys, viewed as bit-row tuples, grouped
-    by word length."""
+    by word length: a product is its tuple of rows, a subset the 1-row
+    tuple ``(mask,)``."""
     levels: dict[int, set] = {}
     for node, key in enumerate(search.keys):
-        levels.setdefault(len(search.word(node)), set()).add(search.rows(key))
+        rows = key if isinstance(key, tuple) else (key,)
+        levels.setdefault(len(search.word(node)), set()).add(rows)
     return [levels[d] for d in sorted(levels)]
 
 

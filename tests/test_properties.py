@@ -9,6 +9,7 @@ trip, the B and lift tables and the escape count (n up to 10), against
 the independent oracles in ``helpers``."""
 
 import io
+import random
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -47,6 +48,7 @@ from rendezvous import (
 from rendezvous.cli import main
 from rendezvous.boolmat import max_column_weight, row_image
 from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
+from rendezvous.semigroup import _maximal
 from helpers import (
     entry_leq,
     entry_max_weight,
@@ -54,6 +56,7 @@ from helpers import (
     forward_reset_threshold,
     letter_set,
     lift_table_oracle,
+    maximal,
     oracle_path,
     pair_distances_oracle,
     product_levels,
@@ -88,8 +91,8 @@ def matrices(draw, n, nz=False):
 
 
 @st.composite
-def nz_sets(draw, max_n=5, max_m=3):
-    n = draw(st.integers(1, max_n))
+def nz_sets(draw, min_n=1, max_n=5, max_m=3):
+    n = draw(st.integers(min_n, max_n))
     m = draw(st.integers(1, max_m))
     return MatrixSet.of([draw(matrices(n, nz=True)) for _ in range(m)])
 
@@ -106,16 +109,35 @@ def automata(draw, min_n=1, max_n=5):
 
 
 @st.composite
-def sparse_nz_sets(draw, max_n=8):
+def sparse_nz_sets(draw, min_n=1, max_n=8):
     """Permutation matrices plus a few drawn ones: NZ sets with long
     heuristic words and letters of every small excess."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     generators = []
     for _ in range(draw(st.integers(1, 3))):
         rows = [1 << p for p in draw(st.permutations(range(n)))]
         cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         for i, j in draw(st.lists(cells, max_size=3)):
             rows[i] |= 1 << j
+        generators.append(BoolMatrix(n, tuple(rows)))
+    return MatrixSet.of(generators)
+
+
+@st.composite
+def thin_nz_sets(draw, min_n, max_n):
+    """NZ sets of two or three letters with one or two ones a row: their
+    products stay thin for a few letters, so many lie below others."""
+    n = draw(st.integers(min_n, max_n))
+    entry = st.integers(0, n - 1)
+    generators = []
+    for _ in range(draw(st.integers(2, 3))):
+        rows = [1 << draw(entry) | 1 << draw(entry) for _ in range(n)]
+        covered = 0
+        for row in rows:
+            covered |= row
+        for j in range(n):
+            if not (covered >> j) & 1:
+                rows[draw(entry)] |= 1 << j
         generators.append(BoolMatrix(n, tuple(rows)))
     return MatrixSet.of(generators)
 
@@ -243,6 +265,78 @@ def test_subset_bfs_levels_are_the_maximal_levels_of_the_oracle(aut):
     oracle, met = subset_levels(aut.n, aut.letters)
     assert levels == oracle
     assert result.pruned == met - result.explored
+
+
+def assert_levels_match(levels, oracle, stopped_at_target):
+    """Stored levels equal the oracle's; a search that broke off at its
+    target stores only part of its last level."""
+    if stopped_at_target:
+        *full, last = levels
+        assert full == oracle[: len(full)] and last <= oracle[len(full)]
+    else:
+        assert levels == oracle
+
+
+# Past 8 states a row, or a subset's mask, spans more than one byte-sized
+# digit of the domination index.
+@settings(PROPERTY, max_examples=30)
+@given(thin_nz_sets(9, 12), st.integers(1, 5))
+def test_explore_levels_past_one_byte_match_the_oracle(mset, depth):
+    with recorded_searches() as searches:
+        result = explore(mset, max_depth=depth)
+    oracle, met = product_levels(mset, depth)
+    assert_levels_match(stored_levels(searches[0]), oracle, result.exponent is not None)
+    if result.exponent is None:
+        assert result.pruned == met - result.explored
+
+
+@settings(PROPERTY, max_examples=30)
+@given(automata(min_n=9, max_n=17), st.integers(1, 3))
+def test_subset_bfs_levels_past_one_byte_match_the_oracle(aut, depth):
+    with recorded_searches() as searches:
+        result = subset_bfs(aut.n, aut.letters, max_depth=depth)
+    oracle, met = subset_levels(aut.n, aut.letters, depth + 1)
+    assert_levels_match(stored_levels(searches[0]), oracle, result.reset is not None)
+    if result.reset is None:
+        assert result.pruned == met - result.explored
+
+
+@st.composite
+def index_cases(draw):
+    """A digit view and distinct keys in drawn order: one-row keys of
+    widths around the byte and word edges, or n-row keys of width n.  Each
+    key ORs some of a few sparse atoms, so keys often lie below others."""
+    if draw(st.booleans()):
+        rows, width = 1, draw(st.sampled_from([1, 7, 8, 9, 16, 17, 64, 65, 70]))
+    else:
+        rows = width = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    atoms = [
+        [(rng.randrange(rows), rng.randrange(width)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(3, 8))
+    ]
+    keys = {}
+    for _ in range(rng.randint(5, 40)):
+        key = [0] * rows
+        for atom in [atom for atom in atoms if rng.random() < 0.5] or atoms[:1]:
+            for i, j in atom:
+                key[i] |= 1 << j
+        keys[tuple(key)] = None
+    size = (width + 7) // 8
+
+    def digits(key):
+        return key if width <= 8 else b"".join(row.to_bytes(size, "little") for row in key)
+
+    return digits, list(keys)
+
+
+@PROPERTY
+@given(index_cases())
+def test_maximal_keeps_the_oracle_maximal_keys_in_order(case):
+    digits, keys = case
+    candidates = [(key, c, 0) for c, key in enumerate(keys)]
+    expected = maximal(keys)
+    assert _maximal(candidates, digits) == [cand for cand in candidates if cand[0] in expected]
 
 
 @PROPERTY

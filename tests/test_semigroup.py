@@ -133,6 +133,13 @@ class TestExplore:
         assert result.exponent.length == 15
         assert witness_replay(cpr_set(), result.exponent.word).is_all_ones()
 
+    def test_kari_work_counters_frozen(self):
+        # The domination index is exact, so a kernel that moves these
+        # counts stores a different antichain.
+        result = explore(kari_set())
+        assert (result.explored, result.pruned, result.depth_reached) == (45_223, 31_504, 28)
+        assert result.exponent.length == 28
+
     def test_kari_profile_frozen_and_cross_checked(self):
         # Frozen regression values, re-derived on every run through the
         # independent automata route (backward subset BFS on both sides).
