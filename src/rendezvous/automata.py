@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
-from .pairgraph import check_primitivity
+from .pairgraph import require_primitive
 from .semigroup import (
     DEFAULT_MAX_STATES,
     LevelResult,
@@ -108,22 +108,10 @@ def associated_automaton(mset: MatrixSet, cap: int = DEFAULT_LETTER_CAP) -> Auto
 class ProfileResult(LevelResult):
     krt: dict[int, Reach] = field(default_factory=dict)  # k in [2, n] -> first reach
 
-    def krt_length(self, k: int) -> int | None:
-        entry = self.krt.get(k)
-        return entry.length if entry else None
-
 
 @dataclass
 class SubsetBfsResult(ProfileResult):
-    reset: Reach | None = None
-
-    @property
-    def synchronizing(self) -> bool:
-        return self.reset is not None
-
-    @property
-    def reset_threshold(self) -> int | None:
-        return self.reset.length if self.reset else None
+    reset: Reach | None = None  # None: not synchronizing, or cut short
 
 
 def subset_bfs(
@@ -217,12 +205,16 @@ def automata_searches(
 
 
 def reached_length(result: LevelResult, entry: Reach | None, what: str) -> int:
-    """Length of a needed ``entry`` of ``result``; a missing one is a limit
-    error naming the limit that cut the search short, if one did."""
+    """Length of a needed ``entry`` of ``result``.  A missing one is a limit
+    error naming the limit that cut the search short; if none did, the
+    search ran out of candidates, which proves the set is not primitive: a
+    primitive set reaches every k, and both of its automata synchronize."""
     if entry is not None:
         return entry.length
     if result.limit is None:
-        raise SearchLimitError(f"{what} undefined (not synchronizing?)")
+        raise NotPrimitiveError(
+            f"{what} not reached: the search exhausted, so the set is not primitive"
+        )
     raise SearchLimitError(
         f"{what} not found within limits (limit={result.limit}, "
         f"explored={result.explored}, depth={result.depth_reached})"
@@ -259,9 +251,7 @@ def verify_sandwich(
     """
     if mset.n < 2:
         raise ValueError(f"the sandwich needs n >= 2, got n={mset.n}")
-    report = check_primitivity(mset)
-    if not report.primitive:
-        raise NotPrimitiveError(report.describe(), report)
+    require_primitive(mset)
     rt, rt_t = (
         reached_length(res, res.reset, "automaton reset threshold")
         for res in automata_searches(mset, cap, max_depth, max_states)
@@ -304,9 +294,7 @@ def verify_krt_equality(
     """Compare the set's exact k-RT with min over the two associated automata."""
     if not 2 <= k <= mset.n:
         raise ValueError(f"k must be in [2, {mset.n}], got {k}")
-    report = check_primitivity(mset)
-    if not report.primitive:
-        raise NotPrimitiveError(report.describe(), report)
+    require_primitive(mset)
     res = set_profile(mset, max_depth, max_states)
     rt_set = reached_length(res, res.krt.get(k), f"rt_{k}")
     rt_a, rt_at = (

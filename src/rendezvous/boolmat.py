@@ -107,10 +107,6 @@ class BoolMatrix:
         return cls(n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def zeros(cls, n: int) -> "BoolMatrix":
-        return cls(n, (0,) * n)
-
-    @classmethod
     def ones(cls, n: int) -> "BoolMatrix":
         full = (1 << n) - 1
         return cls(n, (full,) * n)
@@ -147,10 +143,6 @@ class BoolMatrix:
         rows = other.rows
         return BoolMatrix(self.n, tuple([row_image(rows, mask) for mask in self.rows]))
 
-    def is_all_ones(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(row == full for row in self.rows)
-
     def nz_defect(self) -> tuple[str, int] | None:
         """First zero row or zero column, or None when the matrix is NZ."""
         for i, row in enumerate(self.rows):
@@ -164,10 +156,6 @@ class BoolMatrix:
             missing = full & ~seen
             return ("column", next(bits(missing)))
         return None
-
-    def is_nz(self) -> bool:
-        """True iff the matrix has no zero row and no zero column."""
-        return self.nz_defect() is None
 
     def to_lines(self) -> list[str]:
         return [
@@ -266,11 +254,6 @@ class MatrixSet:
             for i, row in enumerate(g.rows):
                 acc[i] |= row
         return tuple(acc)
-
-    def is_irreducible(self) -> bool:
-        """True iff the union digraph (edge i->j iff some generator has (i,j)=1)
-        is strongly connected."""
-        return _unreachable_pair(self.n, self.union_rows()) is None
 
     def reducibility_witness(self) -> tuple[int, int] | None:
         """States (i, j) with no path i -> j in the union digraph, if reducible."""

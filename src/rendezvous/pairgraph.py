@@ -8,8 +8,9 @@ irreducible set is primitive exactly when every pair vertex can reach some
 singleton, and walking such a path yields a product merging the two states
 into one column.
 
-``build_pair_digraph`` is the explicit, inspectable digraph.  The backward
-BFS from the singletons (``singleton_distances``) builds no digraph: the
+``build_pair_digraph`` is the explicit digraph, which no command reads: it
+is the test oracle for the backward BFS from the singletons
+(``singleton_distances``), which builds no digraph.  The
 predecessors of a pair {x, y} under A are the pairs {p, q} with p in
 column x of A and q in column y, so it reads them straight off the
 generators' columns, AND-ed with one "unvisited" bit row per state, which
@@ -17,7 +18,8 @@ yields only the pairs not reached yet.  Pair {i, j} (i <= j) has id
 ``i*n + j``, and the table is flat lists indexed by that id.  The
 primitivity report carries its table, so the heuristic does not run that
 BFS again: the all-singleton table, or, with a ``target``, the table to
-that one singleton, which proves primitivity alone.
+that one singleton, which proves primitivity alone.  ``require_primitive``
+is the one check that rejects a set that is not primitive.
 """
 
 from __future__ import annotations
@@ -25,13 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .boolmat import MatrixSet, bits
-from .errors import UnreachableVertexError
+from .errors import NotPrimitiveError, UnreachableVertexError
 
 Vertex = tuple[int, int]
-
-
-def normalized(i: int, j: int) -> Vertex:
-    return (i, j) if i <= j else (j, i)
 
 
 def pair_id(n: int, i: int, j: int) -> int:
@@ -50,12 +48,6 @@ class PairDigraph:
     # vertex -> ((successor, generator index), ...) in deterministic order
     adjacency: dict[Vertex, tuple[tuple[Vertex, int], ...]]
 
-    def vertices(self) -> list[Vertex]:
-        return pair_vertices(self.n)
-
-    def singletons(self) -> list[Vertex]:
-        return [(s, s) for s in range(self.n)]
-
 
 def build_pair_digraph(mset: MatrixSet) -> PairDigraph:
     """Construct the labeled pair digraph of an NZ matrix set."""
@@ -66,7 +58,7 @@ def build_pair_digraph(mset: MatrixSet) -> PairDigraph:
         i, j = u
         edges: list[tuple[Vertex, int]] = []
         for g_idx, rows in enumerate(positions):
-            succs = {normalized(x, y) for x in rows[i] for y in rows[j]}
+            succs = {(min(x, y), max(x, y)) for x in rows[i] for y in rows[j]}
             edges.extend((succ, g_idx) for succ in sorted(succs))
         adjacency[u] = tuple(edges)
     return PairDigraph(mset.n, adjacency)
@@ -155,27 +147,6 @@ def singleton_distances(mset: MatrixSet, target: Vertex | None = None) -> Distan
 
 
 @dataclass(frozen=True)
-class MergingWord:
-    source: Vertex
-    target: Vertex  # singleton reached
-    word: tuple[int, ...]
-
-
-def merging_word(
-    mset: MatrixSet, source: Vertex, target: Vertex | None = None
-) -> MergingWord:
-    """Shortest labeled path from ``source`` to a singleton.
-
-    Walking the word from the source along the pair digraph ends at the
-    returned singleton; replaying it as a matrix product merges the two
-    source states into that singleton's column.
-    """
-    source = normalized(*source)
-    word, end = singleton_distances(mset, target).path_from(source)
-    return MergingWord(source, end, tuple(word))
-
-
-@dataclass(frozen=True)
 class PrimitivityReport:
     primitive: bool
     irreducible: bool
@@ -231,5 +202,10 @@ def check_primitivity(mset: MatrixSet, target: Vertex | None = None) -> Primitiv
     return PrimitivityReport(primitive=True, irreducible=True, distances=table)
 
 
-def is_primitive(mset: MatrixSet) -> bool:
-    return check_primitivity(mset).primitive
+def require_primitive(mset: MatrixSet, target: Vertex | None = None) -> PrimitivityReport:
+    """``check_primitivity``'s report of a primitive set; any other set is a
+    ``NotPrimitiveError`` carrying the report as its certificate."""
+    report = check_primitivity(mset, target)
+    if not report.primitive:
+        raise NotPrimitiveError(report.describe(), report)
+    return report

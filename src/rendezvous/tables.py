@@ -20,12 +20,12 @@ from .bounds import (
     bound_b_recursive,
     bound_f,
     bound_f_table,
+    conjectured_equality_onset,
     escape_lower_refined,
     lift_bound,
     scan_conjectures,
     szykula_bound,
 )
-from .errors import SearchLimitError
 from .heuristic import run_heuristic
 
 LONG_HEADER = "n,k,quantity,value,ceil"
@@ -67,16 +67,12 @@ def rt_vs_bounds_rows(
     max_states=None,
 ) -> list[str]:
     """Exact k-RT of one set next to the generic bounds, k in [2, n]; a
-    k not reached is a limit error."""
+    k not reached is an error (see ``reached_length``)."""
     n = mset.n
     result = set_profile(mset, max_depth, max_states)
-    lengths = []
-    for k in range(2, n + 1):
-        if result.limit is None and k not in result.krt:
-            raise SearchLimitError(
-                f"exact rt_{k} not found (semigroup exhausted; set is not primitive)"
-            )
-        lengths.append((k, reached_length(result, result.krt.get(k), f"exact rt_{k}")))
+    lengths = [
+        (k, reached_length(result, result.krt.get(k), f"exact rt_{k}")) for k in range(2, n + 1)
+    ]
     return _measured_vs_bounds_rows(n, "rt", lengths, include_f)
 
 
@@ -165,7 +161,7 @@ def _threshold_rows(report: ScanReport) -> list[str]:
     n_top = report.n_values[-1]
     rows = []
     for k in report.k_values:
-        rows.append(long_row(n_top, k, "conjectured_n_k", report.conjectured[k]))
+        rows.append(long_row(n_top, k, "conjectured_n_k", conjectured_equality_onset(k)))
         threshold = report.thresholds[k]
         if threshold is not None:
             rows.append(long_row(n_top, k, "threshold_n", threshold))

@@ -13,7 +13,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest.mock import patch
 
-from rendezvous import BoolMatrix, MatrixSet, automata, bound_b_closed, is_primitive, semigroup
+from rendezvous import (
+    BoolMatrix,
+    MatrixSet,
+    automata,
+    bound_b_closed,
+    check_primitivity,
+    semigroup,
+)
 from rendezvous.automata import Automaton
 
 
@@ -42,7 +49,7 @@ def random_primitive_set(
 ) -> MatrixSet:
     for _ in range(attempts):
         candidate = random_nz_set(rng, n, m)
-        if is_primitive(candidate):
+        if check_primitivity(candidate).primitive:
             return candidate
     raise RuntimeError(f"no primitive set found for n={n}, m={m}")
 
@@ -106,13 +113,9 @@ def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> set[tuple[int, ...
 
 
 def entry_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether bit-row matrix ``a`` lies entrywise below ``b``, entry by entry."""
-    width = max(max(a, default=0), max(b, default=0)).bit_length()
-    return all(
-        (row_a >> j) & 1 <= (row_b >> j) & 1
-        for row_a, row_b in zip(a, b)
-        for j in range(width)
-    )
+    """Whether bit-row matrix ``a`` lies entrywise below ``b``: no row of
+    ``a`` has a bit its row of ``b`` lacks."""
+    return all(row_a & ~row_b == 0 for row_a, row_b in zip(a, b))
 
 
 def maximal(cands) -> set:

@@ -107,7 +107,7 @@ class TestSubsetBfs:
     def test_example_reset_threshold_two(self):
         aut = associated_automaton(example_set())
         result = subset_bfs(aut.n, aut.letters)
-        assert result.reset_threshold == 2
+        assert result.reset.length == 2
         # Replaying the reset word must produce an all-ones column.
         prod = witness_replay(letter_set(aut), result.reset.word)
         assert any(prod.col(j) == 0b111 for j in range(3))
@@ -115,14 +115,14 @@ class TestSubsetBfs:
     def test_example_transpose_reset_threshold_three(self):
         aut = associated_automaton(example_set().transposed())
         result = subset_bfs(aut.n, aut.letters)
-        assert result.reset_threshold == 3
+        assert result.reset.length == 3
         prod = witness_replay(letter_set(aut), result.reset.word)
         assert any(prod.col(j) == 0b111 for j in range(3))
 
     def test_identity_automaton_not_synchronizing(self):
         aut = Automaton(3, (BoolMatrix.identity(3),), ("e",))
         result = subset_bfs(aut.n, aut.letters)
-        assert not result.synchronizing
+        assert result.reset is None
         assert result.reset is None
         assert result.krt == {}
 
@@ -132,7 +132,7 @@ class TestSubsetBfs:
             result = subset_bfs(aut.n, aut.letters)
             lengths = [result.krt[k].length for k in range(2, mset.n + 1)]
             assert lengths == sorted(lengths)
-            assert result.krt[mset.n].length == result.reset_threshold
+            assert result.krt[mset.n].length == result.reset.length
 
     def test_krt_witnesses_merge_k_states(self):
         aut = associated_automaton(cpr_set())
@@ -148,9 +148,8 @@ class TestSubsetBfs:
         while checked < 200:
             n = rng.randint(2, 6)
             aut = random_automaton(rng, n, rng.randint(1, 3))
-            backward = subset_bfs(aut.n, aut.letters).reset_threshold
-            forward = forward_reset_threshold(aut)
-            assert backward == forward
+            reset = subset_bfs(aut.n, aut.letters).reset
+            assert (reset and reset.length) == forward_reset_threshold(aut)
             checked += 1
 
 
@@ -162,7 +161,7 @@ class TestSetProfile:
             BoolMatrix.from_rows([[0, 0, 1, 0], [1, 0, 0, 0], [1, 1, 1, 0], [0, 0, 0, 1]]),
             BoolMatrix.from_rows([[0, 0, 1, 1], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
         ])
-        assert subset_bfs(4, mset.generators).krt_length(4) == 3
+        assert subset_bfs(4, mset.generators).krt[4].length == 3
         entry = set_profile(mset).krt[4]
         assert (entry.length, entry.word) == (2, (1, 0))
         assert entry_max_weight(witness_replay(mset, entry.word).rows) == 4
@@ -248,10 +247,10 @@ class TestVerificationReports:
         rng = random.Random(35)
         for _ in range(25):
             mset = random_primitive_set(rng, rng.randint(2, 4), 2)
-            assert subset_bfs(mset.n, associated_automaton(mset).letters).synchronizing
+            assert subset_bfs(mset.n, associated_automaton(mset).letters).reset is not None
             assert subset_bfs(
                 mset.n, associated_automaton(mset.transposed()).letters
-            ).synchronizing
+            ).reset is not None
 
     def test_krt_equality_on_random_primitive_sets(self):
         rng = random.Random(36)

@@ -14,13 +14,12 @@ from rendezvous import (
     conjectured_equality_onset,
     escape_lower,
     escape_lower_refined,
-    escape_upper,
     evaluate_escape,
     lift_bound,
     scan_conjectures,
     szykula_bound,
 )
-from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
+from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS, _b_table, _lift_columns, _lift_grid
 from helpers import bound_f_oracle, lift_table_oracle
 
 # Matrices from the worked escape-count example at n=4, k=2.
@@ -45,16 +44,16 @@ class TestEscapeBounds:
         assert escape_lower(9, 2) == 6  # max{6, ceil(7/2)=4, 1}
 
     def test_upper_examples(self):
-        assert escape_upper(4, 2) == 1
-        assert escape_upper(10, 4) == 2  # -3 < ceil(6/4)=2
-        assert escape_upper(10, 3) == 3  # pinched against the lower bound
+        # The witness's escape count is the upper end of the pinch.
+        for (n, k), value in {(4, 2): 1, (10, 4): 2, (10, 3): 3}.items():
+            assert evaluate_escape(build_witness(n, k).matrix, k).value == value
 
     def test_range_validation(self):
         for bad in [(1, 2), (4, 1), (4, 4), (5, 5)]:
             with pytest.raises(ValueError):
                 escape_lower(*bad)
             with pytest.raises(ValueError):
-                escape_upper(*bad)
+                build_witness(*bad)
 
     def test_refined_examples(self):
         assert escape_lower_refined(10, 2, 1) == 8  # max{7, 8, 1}
@@ -154,7 +153,7 @@ class TestWitness:
         witness = build_witness(10, 3)
         result = evaluate_escape(witness.matrix, 3)
         assert result.member
-        assert result.value == escape_upper(10, 3) == 3
+        assert result.value == escape_lower(10, 3) == 3
 
     def test_6_2_hat_branch_value_three(self):
         witness = build_witness(6, 2)
@@ -175,13 +174,12 @@ class TestWitness:
             for k in range(2, n):
                 witness = build_witness(n, k)
                 value = evaluate_escape(witness.matrix, k).value
-                assert value == witness.claimed == escape_upper(n, k)
-                assert escape_lower(n, k) <= value
+                assert value == witness.claimed == escape_lower(n, k)
 
     def test_witness_is_nz(self):
         for n in range(3, 16):
             for k in range(2, n):
-                assert build_witness(n, k).matrix.is_nz()
+                assert build_witness(n, k).matrix.nz_defect() is None
 
 
 def hand_unrolled_lift_10_3() -> int:
@@ -251,6 +249,23 @@ class TestBoundB:
         s, half = math.isqrt(n), n // 2
         for k in (2, 3, s, s + 1, s + 2, half - 1, half, half + 1, half + 2, n):
             assert bound_b_recursive(n, k) == bound_b_closed(n, k), (n, k)
+
+    @pytest.mark.parametrize("first", [3, 25, 120])
+    def test_table_grown_past_the_middle_regime_equals_a_fresh_one(self, first):
+        # D covers only the steps built so far, so growing further into the
+        # middle regime, k in (isqrt(n), n//2], rescales both variants: the
+        # default one step at a time here, the ceiled one in one jump.
+        n = 400
+        _B_TABLES.clear()
+        _b_table(n, first, True)
+        grown = [bound_b_recursive(n, k) for k in range(2, n + 1)]
+        _b_table(n, n, True)
+        state = [list(part) if isinstance(part, list) else part for part in _B_TABLES[n]]
+        _B_TABLES.clear()
+        _b_table(n, n, False)
+        _b_table(n, n, True)
+        assert _B_TABLES[n] == state
+        assert grown == [bound_b_closed(n, k) for k in range(2, n + 1)]
 
     def test_out_of_range(self):
         for bad in [(1, 2), (5, 1), (5, 6)]:
@@ -386,7 +401,7 @@ class TestScan:
     def test_threshold_k7(self):
         report = scan_conjectures(range(2, 121), [7])
         assert report.thresholds[7] == 54
-        assert report.conjectured[7] == 54
+        assert conjectured_equality_onset(7) == 54
 
     def test_threshold_none_when_unstable_at_top(self):
         # At k=7 the bounds still differ at n=40 < 54, so no threshold fits.

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import os
 import subprocess
@@ -397,6 +398,14 @@ LOWER = str(DATA / "lower.set")
         # fig4 checks --k against every set before any heuristic runs.
         (("figure", "fig4", "--file", SWAP, "--k", "99"), 1, "",
          "domain: k=99 out of range [2, 2]\n"),
+        # A search that runs out of candidates without its target, with no
+        # limit hit, proves the set is not primitive.
+        (("figure", "fig5", "--file", SWAP), 1, "",
+         "not-primitive: exact rt_2 not reached: the search exhausted, "
+         "so the set is not primitive\n"),
+        (("automata", "krt", "--file", SWAP), 1, "",
+         "not-primitive: automaton rt_2 not reached: the search exhausted, "
+         "so the set is not primitive\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
@@ -555,6 +564,18 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys):
         ), argv
     assert code == 0 and "primitive: true" in captured.out
     assert build_parser() is build_parser()
+
+
+def test_every_benchmark_layer_resolves():
+    # The benchmark's tracer wraps these names by (module, attribute), so
+    # one that is gone would make a traced benchmark run fail.
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attribute, _, _ in spans.LAYERS:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), attribute
+    importlib.import_module(spans.ROWS_MODULE)
 
 
 def test_bound_caches_keep_the_last_n_only(capsys):

@@ -7,19 +7,16 @@ from rendezvous import (
     MatrixSet,
     NonNZError,
     UnreachableVertexError,
-    build_pair_digraph,
     check_primitivity,
     cpr_set,
     example_set,
-    is_primitive,
     kari_set,
-    merging_word,
     PrimitivityReport,
     pair_id,
-    pair_vertices,
     singleton_distances,
     witness_replay,
 )
+from rendezvous.pairgraph import build_pair_digraph, pair_vertices
 from helpers import (
     brute_force_primitive,
     random_nz_set,
@@ -70,7 +67,7 @@ class TestBuild:
     def test_vertex_count(self):
         for n in range(1, 13):
             pd = build_pair_digraph(cycle_set(n))
-            assert len(pd.vertices()) == n * (n + 1) // 2
+            assert len(pair_vertices(n)) == n * (n + 1) // 2
             assert set(pd.adjacency) == set(pair_vertices(n))
 
     def test_example_edges_match_entry_condition(self):
@@ -101,7 +98,7 @@ class TestBuild:
             for u, succs in pd.adjacency.items():
                 for v, g_idx in succs:
                     reversal[v].append((u, g_idx))
-            dist, next_hop = reverse_bfs(reversal, pd.singletons())
+            dist, next_hop = reverse_bfs(reversal, [(s, s) for s in range(mset.n)])
             table = singleton_distances(mset)
             assert reached(table) == dist
             for (i, j), (label, (a, b)) in next_hop.items():
@@ -153,15 +150,15 @@ class TestDistances:
 
 
 class TestMergingWord:
+    # A merging word is the path of a distance table from a pair to the
+    # singleton it reaches.
     def test_singleton_source_gives_empty_word(self):
-        word = merging_word(example_set(), (1, 1))
-        assert word.word == ()
-        assert word.target == (1, 1)
+        assert singleton_distances(example_set()).path_from((1, 1)) == ([], (1, 1))
 
     def test_example_word_length_is_bfs_distance(self):
         table = singleton_distances(example_set())
-        word = merging_word(example_set(), (0, 1))
-        assert len(word.word) == reached(table)[(0, 1)]
+        word, _ = table.path_from((0, 1))
+        assert len(word) == reached(table)[(0, 1)]
 
     def test_word_walks_real_edges(self):
         rng = random.Random(11)
@@ -170,17 +167,17 @@ class TestMergingWord:
             pd = build_pair_digraph(mset)
             table = singleton_distances(mset)
             dist = reached(table)
-            for source in pd.vertices():
-                merged = merging_word(mset, source)
-                assert len(merged.word) == dist[source]
+            for source in pair_vertices(mset.n):
+                word, end = table.path_from(source)
+                assert len(word) == dist[source]
                 v = source
-                for g in merged.word:
+                for g in word:
                     hop = pair_id(mset.n, *v)
                     succ = divmod(table.succ[hop], mset.n)
                     assert table.label[hop] == g
                     assert (succ, g) in pd.adjacency[v]
                     v = succ
-                assert v == merged.target
+                assert v == end
                 assert v[0] == v[1]
 
     def test_support_union_property(self):
@@ -189,10 +186,10 @@ class TestMergingWord:
         rng = random.Random(12)
         for _ in range(15):
             mset = random_primitive_set(rng, rng.randint(2, 5), 2)
+            table = singleton_distances(mset)
             for (i, j) in pair_vertices(mset.n):
-                merged = merging_word(mset, (i, j))
-                k = merged.target[0]
-                tail = witness_replay(mset, merged.word)
+                word, (k, _) = table.path_from((i, j))
+                tail = witness_replay(mset, word)
                 for a in mset.generators:
                     prod = a @ tail
                     union = a.col(i) | a.col(j)
@@ -201,25 +198,26 @@ class TestMergingWord:
     def test_targeted_word_reaches_requested_singleton(self):
         ex = example_set()
         for s in range(3):
-            dist = reached(singleton_distances(ex, target=(s, s)))
+            table = singleton_distances(ex, target=(s, s))
+            dist = reached(table)
             for source in pair_vertices(3):
-                merged = merging_word(ex, source, target=(s, s))
-                assert merged.target == (s, s)
-                assert len(merged.word) == dist[source]
+                word, end = table.path_from(source)
+                assert end == (s, s)
+                assert len(word) == dist[source]
 
     def test_unreachable_raises_with_source(self):
         with pytest.raises(UnreachableVertexError) as err:
-            merging_word(cycle_set(3), (0, 1))
+            singleton_distances(cycle_set(3)).path_from((0, 1))
         assert err.value.source == (0, 1)
 
 
 class TestPrimitivity:
     def test_example_is_primitive(self):
-        assert is_primitive(example_set())
+        assert check_primitivity(example_set()).primitive
 
     def test_cpr_and_kari_are_primitive(self):
-        assert is_primitive(cpr_set())
-        assert is_primitive(kari_set())
+        assert check_primitivity(cpr_set()).primitive
+        assert check_primitivity(kari_set()).primitive
 
     def test_cycle_is_irreducible_but_not_primitive(self):
         report = check_primitivity(cycle_set(4))
@@ -254,7 +252,7 @@ class TestPrimitivity:
             n = rng.randint(2, 4)
             m = rng.randint(1, 3)
             mset = random_nz_set(rng, n, m)
-            assert is_primitive(mset) == brute_force_primitive(mset)
+            assert check_primitivity(mset).primitive == brute_force_primitive(mset)
             checked += 1
 
     def test_max_singleton_distance_bound(self):

@@ -32,9 +32,7 @@ from rendezvous import (
     evaluate_escape,
     example_set,
     explore,
-    is_primitive,
     kari_set,
-    pair_vertices,
     parse_set_file,
     parse_set_text,
     run_heuristic,
@@ -46,6 +44,7 @@ from rendezvous import (
     witness_replay,
 )
 from rendezvous.cli import main
+from rendezvous.pairgraph import pair_vertices
 from rendezvous.boolmat import max_column_weight, row_image
 from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
 from rendezvous.semigroup import _maximal
@@ -362,10 +361,10 @@ def test_set_profile_under_a_state_cap_reports_only_exact_lengths(mset, cap):
 @PROPERTY
 @given(nz_sets(max_n=4, max_m=2))
 def test_set_krt_is_min_over_the_two_automata(mset):
-    assume(mset.n >= 2 and is_primitive(mset))
+    assume(mset.n >= 2 and check_primitivity(mset).primitive)
     aut = subset_bfs(mset.n, associated_automaton(mset).letters)
     aut_t = subset_bfs(mset.n, associated_automaton(mset.transposed()).letters)
-    theorem = {k: min(aut.krt_length(k), aut_t.krt_length(k)) for k in range(2, mset.n + 1)}
+    theorem = {k: min(aut.krt[k].length, aut_t.krt[k].length) for k in range(2, mset.n + 1)}
     exact, _ = undeduplicated_profile(mset, max_depth=max(theorem.values()))
     assert exact == theorem
 
@@ -373,7 +372,7 @@ def test_set_krt_is_min_over_the_two_automata(mset):
 @PROPERTY
 @given(nz_sets(max_n=4, max_m=2))
 def test_sandwich_fields_match_independent_oracles(mset):
-    assume(mset.n >= 2 and is_primitive(mset))
+    assume(mset.n >= 2 and check_primitivity(mset).primitive)
     report = verify_sandwich(mset)
     assert report.rt_aut == forward_reset_threshold(associated_automaton(mset))
     assert report.rt_aut_transpose == forward_reset_threshold(
@@ -399,13 +398,13 @@ def test_subset_bfs_never_stores_more_than_max_states(aut, cap):
 @PROPERTY
 @given(automata(min_n=2))
 def test_subset_bfs_matches_forward_oracle(aut):
-    assert subset_bfs(aut.n, aut.letters).reset_threshold == forward_reset_threshold(aut)
+    reset = subset_bfs(aut.n, aut.letters).reset
+    assert (reset and reset.length) == forward_reset_threshold(aut)
 
 
 def test_subset_bfs_one_state_is_reset_by_empty_word():
     aut = Automaton(1, (BoolMatrix.identity(1),), ("a",))
     result = subset_bfs(aut.n, aut.letters)
-    assert result.synchronizing
     assert result.reset == Reach(0, ())
     assert result.krt == {}
 
@@ -421,7 +420,7 @@ def test_explore_rejects_limits_below_one(limits):
 
 
 @PROPERTY
-@given(st.one_of(nz_sets(max_n=8), sparse_nz_sets()).filter(is_primitive), st.booleans())
+@given(st.one_of(nz_sets(max_n=8), sparse_nz_sets()).filter(lambda m: check_primitivity(m).primitive), st.booleans())
 def test_heuristic_per_k_matches_prefix_replays(mset, transpose):
     # Transposed sets swap rows and columns, so the rows, which the
     # heuristic only bounds between exact counts, carry the max weight too.
@@ -595,7 +594,7 @@ def test_check_certificate_is_the_first_unreached_pair(mset):
 
 
 @PROPERTY
-@given(st.one_of(nz_sets(max_n=6), cyclic_block_sets()).filter(lambda m: not is_primitive(m)))
+@given(st.one_of(nz_sets(max_n=6), cyclic_block_sets()).filter(lambda m: not check_primitivity(m).primitive))
 def test_heuristic_rejects_non_primitive_sets_with_the_check_certificate(mset):
     report = check_primitivity(mset)
     for mode in ("specific", "any"):

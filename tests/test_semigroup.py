@@ -32,7 +32,7 @@ class TestExplore:
         result = explore(example_set())
         assert result.exponent.length == 7
         replay = witness_replay(example_set(), result.exponent.word)
-        assert replay.is_all_ones()
+        assert replay == BoolMatrix.ones(3)
 
     def test_rt2_is_one_on_primitive_non_permutation_sets(self):
         rng = random.Random(21)
@@ -131,7 +131,7 @@ class TestExplore:
         assert profile_lengths(set_profile(cpr_set())) == {2: 1, 3: 2, 4: 5}
         result = explore(cpr_set())
         assert result.exponent.length == 15
-        assert witness_replay(cpr_set(), result.exponent.word).is_all_ones()
+        assert witness_replay(cpr_set(), result.exponent.word) == BoolMatrix.ones(4)
 
     def test_kari_work_counters_frozen(self):
         # The domination index is exact, so a kernel that moves these
@@ -152,7 +152,7 @@ class TestExplore:
         aut_t = subset_bfs(kari.n, associated_automaton(kari.transposed()).letters)
         for k in range(2, 7):
             assert result.krt[k].length == min(
-                aut.krt_length(k), aut_t.krt_length(k)
+                aut.krt[k].length, aut_t.krt[k].length
             )
 
 
@@ -178,8 +178,8 @@ class TestSandwichInvariant:
 
         ex = example_set()
         exp = explore(ex).exponent.length
-        rt = subset_bfs(ex.n, associated_automaton(ex).letters).reset_threshold
-        rt_t = subset_bfs(ex.n, associated_automaton(ex.transposed()).letters).reset_threshold
+        rt = subset_bfs(ex.n, associated_automaton(ex).letters).reset.length
+        rt_t = subset_bfs(ex.n, associated_automaton(ex.transposed()).letters).reset.length
         assert rt <= exp <= rt + rt_t + ex.n - 1
         assert (rt, exp, rt_t) == (2, 7, 3)
 
@@ -190,8 +190,8 @@ class TestSandwichInvariant:
         for _ in range(25):
             mset = random_primitive_set(rng, rng.randint(2, 4), 2)
             exp = explore(mset).exponent.length
-            rt = subset_bfs(mset.n, associated_automaton(mset).letters).reset_threshold
+            rt = subset_bfs(mset.n, associated_automaton(mset).letters).reset.length
             rt_t = subset_bfs(
                 mset.n, associated_automaton(mset.transposed()).letters
-            ).reset_threshold
+            ).reset.length
             assert rt <= exp <= rt + rt_t + mset.n - 1
