@@ -22,19 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
 from .pairgraph import require_primitive
-from .semigroup import (
-    DEFAULT_MAX_STATES,
-    LevelResult,
-    LevelSearch,
-    Reach,
-    explore,
-    note_first_reach,
-    require_exact_search,
-)
+from .semigroup import LevelResult, LevelSearch, Reach, explore, note_first_reach
 
 DEFAULT_LETTER_CAP = 4096
 
@@ -127,8 +120,8 @@ def subset_bfs(
     word's product, and the full set is a reset.  Words are reported in
     application order (leftmost letter applied first), which is product
     order.  The 1-state search is reset by the empty word.  ``max_depth``
-    bounds the word length (None leaves it unbounded) and ``max_states``
-    the subsets stored, ``DEFAULT_MAX_STATES`` when None, as in ``explore``.
+    bounds the word length and ``max_states`` the subsets stored; the
+    limits are ``LevelSearch``'s.
     """
     full = (1 << n) - 1
     result = SubsetBfsResult(n=n)
@@ -142,7 +135,7 @@ def subset_bfs(
         [(1 << q, -1) for q in range(n)],
         0,
         max_depth,
-        DEFAULT_MAX_STATES if max_states is None else max_states,
+        max_states,
     )
     masks = search.keys
     # A preimage's letter is applied before its parent's word, so a word
@@ -164,12 +157,12 @@ def set_profile(
     column side (``subset_bfs`` on the generators) and the row side (on
     their transposes, whose words read root first are in product order).
 
-    Both sides run under the same limits; the record sums ``explored`` and
-    ``pruned`` and keeps the deeper ``depth_reached`` and a side's
-    ``limit``.  A side cut short at depth D without k has no k below D
-    only, so a longer length is left out, with every larger k.
+    Both sides run under the same limits, ``LevelSearch``'s; the record
+    sums ``explored`` and ``pruned`` and keeps the deeper ``depth_reached``
+    and a side's ``limit``.  A side cut short at depth D without k has no k
+    below D only, so a longer length is left out, with every larger k.
     """
-    require_exact_search(mset)
+    mset.require_nz()
     sides = [
         subset_bfs(mset.n, source.generators, max_depth, max_states)
         for source in (mset, mset.transposed())
@@ -196,12 +189,12 @@ def set_profile(
 
 def automata_searches(
     mset: MatrixSet, cap: int, max_depth: int | None, max_states: int | None
-) -> tuple[SubsetBfsResult, SubsetBfsResult]:
-    """Subset searches of Aut(M) and Aut(M^T) under the same limits."""
-    return tuple(
-        subset_bfs(mset.n, associated_automaton(source, cap).letters, max_depth, max_states)
-        for source in (mset, mset.transposed())
-    )
+) -> Iterator[tuple[Automaton, SubsetBfsResult]]:
+    """Aut(M) and then Aut(M^T), each with its subset search under the same
+    limits; Aut(M^T) is built only after Aut(M) is searched."""
+    for source in (mset, mset.transposed()):
+        aut = associated_automaton(source, cap)
+        yield aut, subset_bfs(aut.n, aut.letters, max_depth, max_states)
 
 
 def reached_length(result: LevelResult, entry: Reach | None, what: str) -> int:
@@ -254,7 +247,7 @@ def verify_sandwich(
     require_primitive(mset)
     rt, rt_t = (
         reached_length(res, res.reset, "automaton reset threshold")
-        for res in automata_searches(mset, cap, max_depth, max_states)
+        for _, res in automata_searches(mset, cap, max_depth, max_states)
     )
     res = explore(mset, max_depth, max_states)
     exp = reached_length(res, res.exponent, "exponent")
@@ -299,6 +292,6 @@ def verify_krt_equality(
     rt_set = reached_length(res, res.krt.get(k), f"rt_{k}")
     rt_a, rt_at = (
         reached_length(res, res.krt.get(k), f"automaton rt_{k}")
-        for res in automata_searches(mset, cap, max_depth, max_states)
+        for _, res in automata_searches(mset, cap, max_depth, max_states)
     )
     return KrtEqualityReport(k=k, rt_set=rt_set, rt_aut=rt_a, rt_aut_transpose=rt_at)

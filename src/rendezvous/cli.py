@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import tables
 from .automata import (
     DEFAULT_LETTER_CAP,
     associated_automaton,
+    automata_searches,
     set_profile,
-    subset_bfs,
     verify_krt_equality,
     verify_sandwich,
 )
@@ -227,9 +228,8 @@ def _cmd_automata(args) -> int:
         _print_automaton("aut_T", associated_automaton(mset.transposed(), cap))
         return 0
     if args.action == "rt":
-        for title, source in (("aut", mset), ("aut_T", mset.transposed())):
-            aut = associated_automaton(source, cap)
-            res = subset_bfs(aut.n, aut.letters, args.max_depth, args.max_states)
+        searches = automata_searches(mset, cap, args.max_depth, args.max_states)
+        for title, (aut, res) in zip(("aut", "aut_T"), searches):
             if res.reset is None and res.exhausted:
                 print(f"{title}: not-synchronizing")
             else:
@@ -408,6 +408,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"domain: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout; what is still buffered goes to devnull,
+        # so the interpreter's final flush raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -2,10 +2,10 @@
 
 ``LevelSearch`` is the one level-order search of the workbench: it owns
 the stored keys, parent pointers and letters, the witness words, the
-depth and state limits and the exhaustion test.  Both exact searches run
-on it: ``explore`` here, the exponent search with boolean products as
-keys, and ``automata.subset_bfs``, the k-rendezvous and reset search with
-state subsets as keys.
+dimension, depth and state limits and the exhaustion test.  Both exact
+searches run on it: ``explore`` here, the exponent search with boolean
+products as keys, and ``automata.subset_bfs``, the k-rendezvous and reset
+search with state subsets as keys.
 
 ``explore`` enumerates products level by level (level d = products of
 length d), the generators at level 1, until the all-ones matrix appears;
@@ -46,9 +46,9 @@ T = TypeVar("T")
 K = TypeVar("K", bound=Hashable)
 
 DEFAULT_MAX_STATES = 10_000_000
-# Keys are Python ints of any width (the automata searches already run at
-# n = 70); the cap guards memory: past n = 64 a search under the default
-# state cap can store millions of keys at about 210 B per stored subset.
+# Keys are Python ints of any width, so the cap guards memory, not word
+# size: past n = 64 a search under the default state cap can store
+# millions of keys at about 210 B per stored subset.
 EXACT_SEARCH_DIMENSION_CAP = 64
 
 
@@ -198,7 +198,13 @@ class LevelSearch:
     stop.  The search records on ``result`` the nodes stored, the deepest
     level stored and why it stopped by itself: a level had no candidate
     (``exhausted``), or it would pass ``max_depth`` or has stored
-    ``max_states`` keys (``limit``).  A None limit never stops it.
+    ``max_states`` keys (``limit``).
+
+    Every exact search of the workbench obeys the limits set here, before
+    any key is stored: ``result.n`` at most ``EXACT_SEARCH_DIMENSION_CAP``
+    (else ``DimensionError``), ``max_states`` (the most keys ever stored,
+    so ``explored <= max_states``) ``DEFAULT_MAX_STATES`` when None, and
+    ``max_depth`` unbounded when None; a given limit must be at least 1.
     """
 
     def __init__(
@@ -212,6 +218,10 @@ class LevelSearch:
         max_depth: int | None,
         max_states: int | None,
     ):
+        if result.n > EXACT_SEARCH_DIMENSION_CAP:
+            raise DimensionError(
+                f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {result.n}"
+            )
         if any(limit is not None and limit < 1 for limit in (max_depth, max_states)):
             raise ValueError(
                 f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
@@ -223,7 +233,7 @@ class LevelSearch:
         self.roots = roots
         self.depth = depth
         self.max_depth = math.inf if max_depth is None else max_depth
-        self.max_states = math.inf if max_states is None else max_states
+        self.max_states = DEFAULT_MAX_STATES if max_states is None else max_states
         self.keys: list[K] = []
         self.parents: list[int] = []
         self.letters: list[int] = []
@@ -280,16 +290,6 @@ class LevelSearch:
             )
 
 
-def require_exact_search(mset: MatrixSet) -> None:
-    """Reject what no exact search of a set takes: a generator with a zero
-    row or column, or more than ``EXACT_SEARCH_DIMENSION_CAP`` states."""
-    mset.require_nz()
-    if mset.n > EXACT_SEARCH_DIMENSION_CAP:
-        raise DimensionError(
-            f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {mset.n}"
-        )
-
-
 def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMatrix:
     """Left-to-right boolean product of the named generators; empty word -> identity."""
     out = BoolMatrix.identity(mset.n)
@@ -309,11 +309,9 @@ def explore(
     closed (no new products), or when a limit is hit; in the latter case
     the result is flagged partial via ``limit``.  Non-primitive input is
     fine: the exponent simply stays None.  ``max_depth`` defaults to
-    ``default_max_depth(n)`` and ``max_states`` (the most products ever
-    stored, so ``explored <= max_states``) to ``DEFAULT_MAX_STATES``; both
-    must be at least 1.
+    ``default_max_depth(n)``; the other limits are ``LevelSearch``'s.
     """
-    require_exact_search(mset)
+    mset.require_nz()
     n = mset.n
     result = SearchResult(n=n)
     ones = ((1 << n) - 1,) * n
@@ -330,7 +328,7 @@ def explore(
         [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)],
         1,
         default_max_depth(n) if max_depth is None else max_depth,
-        DEFAULT_MAX_STATES if max_states is None else max_states,
+        max_states,
     )
     keys = search.keys
     for node in search:

@@ -118,7 +118,7 @@ def automata_krt_rows(
 ) -> list[str]:
     """Backward-BFS k-RT of both associated automata plus their minimum."""
     n = mset.n
-    searches = automata_searches(mset, cap, max_depth, max_states)
+    searches = [res for _, res in automata_searches(mset, cap, max_depth, max_states)]
     rows = []
     for k in range(2, n + 1):
         a, b = (reached_length(res, res.krt.get(k), f"automaton rt_{k}") for res in searches)

@@ -44,6 +44,14 @@ def random_nz_set(rng: random.Random, n: int, m: int) -> MatrixSet:
     return MatrixSet.of([random_nz_matrix(rng, n) for _ in range(m)])
 
 
+def shift_plus_one(n: int) -> MatrixSet:
+    """The cyclic shift i -> i+1 (mod n) with one extra 1 at (0, 0): one
+    NZ generator, primitive at every n (an n-cycle and a loop)."""
+    rows = [1 << (i + 1) % n for i in range(n)]
+    rows[0] |= 1
+    return MatrixSet.of([BoolMatrix(n, tuple(rows))])
+
+
 def random_primitive_set(
     rng: random.Random, n: int, m: int, attempts: int = 20000
 ) -> MatrixSet:
@@ -194,7 +202,8 @@ def stored_levels(search) -> list[set]:
 @contextmanager
 def recorded_searches():
     """The list of every ``LevelSearch`` that ``explore`` and ``subset_bfs``
-    start inside the block, in order."""
+    start inside the block, in order; one refused by its constructor is
+    not in it."""
     searches = []
 
     class Recorded(semigroup.LevelSearch):
@@ -239,6 +248,37 @@ def undeduplicated_profile(
         if full in level:
             return profile, depth
         level = [row_tuple_product(rows, g) for rows in level for g in gens]
+    return profile, None
+
+
+def distinct_product_profile(mset: MatrixSet) -> tuple[dict[int, int], int | None]:
+    """(rt_k for every k reached, exponent or None) by a plain breadth-first
+    search over distinct products: level d holds the products of length d
+    not met at a shorter length, and none is dropped for lying below
+    another.  Stops at the all-ones matrix or once a level is empty.
+
+    Products are plain row-tuple products and weights are counted entry by
+    entry, so nothing is shared with the pruned production searches.
+    """
+    n = mset.n
+    gens = [g.rows for g in mset.generators]
+    full = tuple((1 << n) - 1 for _ in range(n))
+    profile: dict[int, int] = {}
+    level = list(dict.fromkeys(gens))
+    seen = set(level)
+    depth = 1
+    while level:
+        for rows in level:
+            for k in range(2, entry_max_weight(rows) + 1):
+                profile.setdefault(k, depth)
+        if full in level:
+            return profile, depth
+        level = list(dict.fromkeys(
+            child for rows in level for g in gens
+            if (child := row_tuple_product(rows, g)) not in seen
+        ))
+        seen.update(level)
+        depth += 1
     return profile, None
 
 

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from rendezvous import (
-    associated_automaton, automata, cpr_set, example_set, kari_set, subset_bfs,
+    BoolMatrix, MatrixSet, associated_automaton, cpr_set, example_set, explore,
+    kari_set, semigroup, serialize_set, set_profile, subset_bfs,
 )
 from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
 from rendezvous.cli import _cmd_witness, build_parser, main
-from helpers import subset_levels
+from helpers import shift_plus_one, subset_levels
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,14 +155,34 @@ class TestAutomataCommands:
         assert mins[2] == 1
 
     def test_subset_search_stops_at_the_default_state_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(automata, "DEFAULT_MAX_STATES", 7)
+        monkeypatch.setattr(semigroup, "DEFAULT_MAX_STATES", 7)
         aut = associated_automaton(cpr_set())
         assert subset_bfs(aut.n, aut.letters).limit == "states"
+        for result in (explore(cpr_set()), set_profile(cpr_set())):
+            assert result.limit == "states"
         code, out, err = run(capsys, "automata", "rt", "--builtin", "cpr")
         assert (code, err) == (0, "")
         assert out.startswith("aut: rt=not-found (states; explored=7, depth=")
         assert run(capsys, "automata", "rt", "--builtin", "cpr", "--max-states", "7") == (
             code, out, err)
+
+    def test_every_exact_search_refuses_n_above_64(self, capsys, tmp_path):
+        path = tmp_path / "shift65.set"
+        path.write_text(serialize_set(shift_plus_one(65)))
+        refused = (1, "", "dimension: exact search supports n <= 64, got 65\n")
+        for argv in (
+            ("automata", "rt"),
+            ("automata", "krt"),
+            ("automata", "sandwich"),
+            ("automata", "krt-equality", "--k", "2"),
+            ("exponent",),
+            ("krt",),
+        ):
+            assert run(capsys, *argv, "--file", str(path)) == refused, argv
+        # Building the automata is not a search.
+        code, out, err = run(capsys, "automata", "construct", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert "aut: 2 letters" in out and "aut_T: 2 letters" in out
 
     def test_letter_cap_error(self, capsys):
         code, out, err = run(
@@ -442,12 +463,36 @@ def test_set_profile_explored_counts_follow_the_oracle(mset, depth, explored):
     )
 
 
-def run_python(*args):
-    """A fresh interpreter that imports the package from this checkout."""
+def checkout_env():
+    """The environment of a fresh interpreter that imports the package from
+    this checkout."""
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the package from this checkout."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=checkout_env(), timeout=120
+    )
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # Ten rows of weight 2 give 1,024 letters, several pipe buffers of
+    # output, so the reader closes the pipe long before the writer is done.
+    rows = [0b11 << i for i in range(10)] + [1 << i for i in range(10, 16)]
+    path = tmp_path / "many_letters.set"
+    path.write_text(serialize_set(MatrixSet.of([BoolMatrix(16, tuple(rows))])))
+    with subprocess.Popen(
+        [sys.executable, "-m", "rendezvous", "automata", "construct", "--file", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"aut: 1024 letters\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err, err.decode()
 
 
 @pytest.mark.parametrize(
@@ -564,6 +609,15 @@ def test_main_calls_in_one_process_match_fresh_processes(capsys):
         ), argv
     assert code == 0 and "primitive: true" in captured.out
     assert build_parser() is build_parser()
+
+
+def test_readme_quick_tour_runs_as_written(capsys):
+    # A renamed or removed name fails here instead of leaving README stale.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert run(capsys, "exponent", "--builtin", "example") == (0, "7\n", "")
 
 
 def test_every_benchmark_layer_resolves():

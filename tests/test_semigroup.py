@@ -11,14 +11,18 @@ from rendezvous import (
     default_max_depth,
     example_set,
     explore,
+    associated_automaton,
     kari_set,
     set_profile,
+    subset_bfs,
     witness_replay,
 )
 from helpers import (
     entry_max_weight,
     random_nz_set,
     random_primitive_set,
+    recorded_searches,
+    shift_plus_one,
     undeduplicated_profile,
 )
 
@@ -112,9 +116,30 @@ class TestExplore:
         assert default_max_depth(10) == 172
 
     def test_dimension_cap(self):
-        big = MatrixSet.of([BoolMatrix.identity(65)])
         with pytest.raises(DimensionError):
-            explore(big)
+            explore(MatrixSet.of([BoolMatrix.identity(65)]))
+        # Every exact search refuses n > 64 before it starts.
+        big = shift_plus_one(65)
+        letters = associated_automaton(big).letters
+        with recorded_searches() as searches:
+            for search in (
+                lambda: explore(big),
+                lambda: set_profile(big),
+                lambda: subset_bfs(big.n, letters),
+            ):
+                with pytest.raises(DimensionError) as exc:
+                    search()
+                assert str(exc.value) == "exact search supports n <= 64, got 65"
+        assert searches == []
+        # A set that is not NZ fails as such before its size is looked at.
+        not_nz = MatrixSet.of([BoolMatrix(65, (1,) * 65)])
+        for search in (explore, set_profile):
+            with pytest.raises(NonNZError):
+                search(not_nz)
+        # n = 64 is searched.
+        with recorded_searches() as searches:
+            assert explore(shift_plus_one(64), max_states=1).limit == "states"
+        assert len(searches) == 1
 
     def test_non_nz_rejected(self):
         bad = MatrixSet.of([BoolMatrix.from_rows([[1, 0], [0, 0]])])
