@@ -18,9 +18,12 @@ induction is in ``LevelSearch``).  The dominated ones are found with a
 level-local index over the kept products, heaviest first: one bitset per
 bit of each byte-sized digit of the key, and one memoised AND of those
 bitsets per digit value, so a candidate's test is one lookup per digit.
-On kari this stores 45,223 products instead of the 832,573 distinct
-products up to the exponent.  A child row is the ``row_image`` of the
-parent row under the generator, memoized per generator.
+A child row is the ``row_image`` of the parent row under the generator,
+memoized per generator.  A distance table over row sets bounds how far
+each product still is from the all-ones matrix, and the search runs in
+passes with a rising bound on the length (see ``explore``).  On kari the
+passes store 12,304 products in all; one unbounded pass stores 45,223,
+and there are 832,573 distinct products up to the exponent.
 ``note_first_reach`` is the one first-reach recorder, shared by the subset
 search and the heuristic.
 
@@ -50,6 +53,11 @@ DEFAULT_MAX_STATES = 10_000_000
 # size: past n = 64 a search under the default state cap can store
 # millions of keys at about 210 B per stored subset.
 EXACT_SEARCH_DIMENSION_CAP = 64
+# The exponent search's distance table has 2^n one-byte entries; past this
+# n the search runs without its bound, in one pass.
+DISTANCE_TABLE_DIMENSION_CAP = 16
+# A table entry no word reaches; reached distances are clamped below it.
+UNREACHED = 255
 
 
 def default_max_depth(n: int) -> int:
@@ -100,7 +108,12 @@ class LevelResult:
 
 @dataclass
 class SearchResult(LevelResult):
+    """``explore``'s result: the counts are summed over its passes, and
+    ``lower_bound`` is a length no shorter word reaches the all-ones matrix
+    at (the exponent's length once found)."""
+
     exponent: Reach | None = None
+    lower_bound: int = 1
 
 
 _BYTE_BITS = tuple(tuple(bits(value)) for value in range(256))
@@ -178,10 +191,13 @@ class LevelSearch:
     into bytes (at n <= 8, its rows themselves), a subset's the bytes of
     its mask.  A level's candidates are the keys not seen before,
     collected by expanding the previous level in discovery order and the
-    letters in index order.  Every candidate joins ``seen``, but only the
-    maximal ones (no other candidate of the level dominates them) are
-    stored, in discovery order; ``result.pruned`` counts the rest.  Every
-    stored key is reached by a shortest word, reproducibly.
+    letters in index order.  With a ``distance``, a lower bound on the
+    letters a key still needs to reach the target, a key of level d is a
+    candidate only if d + distance(key) <= ``max_depth``.  Every candidate
+    joins ``seen``, but only the maximal ones (no other candidate of the
+    level dominates them) are stored, in discovery order; ``result.pruned``
+    counts the rest.  Every stored key is reached by a shortest word,
+    reproducibly.
 
     Why this is exact for every monotone target (the all-ones matrix, a
     subset of size k, the full subset): if A <= B entrywise then
@@ -192,7 +208,12 @@ class LevelSearch:
     and every candidate lies below a stored candidate of its level.  So
     every target is first reached at the same length as without pruning.
     The top key (the all-ones matrix, the full subset) dominates every
-    other key, so it is always kept.
+    other key, so it is always kept.  The induction holds under a
+    ``distance`` that is antimonotone (A <= B gives
+    distance(B) <= distance(A)), so a dominator of a candidate is one too,
+    and consistent (distance(A) <= 1 + distance(child(A, a))), so the
+    parent of a candidate passed the bound at its own level: a target
+    within ``max_depth`` is still first reached at its length.
 
     Iterating yields each stored node, roots first; the caller breaks to
     stop.  The search records on ``result`` the nodes stored, the deepest
@@ -217,6 +238,7 @@ class LevelSearch:
         depth: int,
         max_depth: int | None,
         max_states: int | None,
+        distance: Callable[[K], int] | None = None,
     ):
         if result.n > EXACT_SEARCH_DIMENSION_CAP:
             raise DimensionError(
@@ -234,6 +256,7 @@ class LevelSearch:
         self.depth = depth
         self.max_depth = math.inf if max_depth is None else max_depth
         self.max_states = DEFAULT_MAX_STATES if max_states is None else max_states
+        self.distance = distance
         self.keys: list[K] = []
         self.parents: list[int] = []
         self.letters: list[int] = []
@@ -247,20 +270,26 @@ class LevelSearch:
             node = self.parents[node]
         return tuple(reversed(out))
 
-    def _fresh(self, candidates: Iterable[tuple[K, int, int]]) -> list[tuple[K, int, int]]:
-        """The candidates whose key is new, in order; every key joins ``seen``."""
-        seen = self.seen
+    def _fresh(
+        self, candidates: Iterable[tuple[K, int, int]], depth: int
+    ) -> list[tuple[K, int, int]]:
+        """The candidates of level ``depth`` whose key is new and, with a
+        ``distance``, can still reach the target by ``max_depth``, in order;
+        each of them joins ``seen``."""
+        seen, distance = self.seen, self.distance
+        slack = self.max_depth - depth
         out = []
         for cand in candidates:
-            if cand[0] not in seen:
-                seen.add(cand[0])
+            key = cand[0]
+            if key not in seen and (distance is None or distance(key) <= slack):
+                seen.add(key)
                 out.append(cand)
         return out
 
     def __iter__(self) -> Iterator[int]:
         keys, child, result, m = self.keys, self.child, self.result, self.m
         depth = self.depth
-        level = self._fresh((key, -1, letter) for key, letter in self.roots)
+        level = self._fresh(((key, -1, letter) for key, letter in self.roots), depth)
         while True:
             if not level:
                 result.exhausted = True
@@ -284,9 +313,12 @@ class LevelSearch:
                 return
             depth += 1
             level = self._fresh(
-                (child(keys[parent], letter), parent, letter)
-                for parent in range(start, len(keys))
-                for letter in range(m)
+                (
+                    (child(keys[parent], letter), parent, letter)
+                    for parent in range(start, len(keys))
+                    for letter in range(m)
+                ),
+                depth,
             )
 
 
@@ -300,39 +332,128 @@ def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMa
     return out
 
 
+def subset_distances(mset: MatrixSet) -> bytearray | None:
+    """delta(S) for every row set S, indexed by its mask: the length of the
+    shortest word whose forward image of S is every state, the image of S
+    under a generator g being ``row_image(g.rows, S)``.
+
+    One backward breadth-first search from the full set over all 2^n
+    subsets; each letter's image table is filled by doubling, the image of
+    S | bit j being the image of S OR row j.  Distances are clamped to
+    ``UNREACHED - 1``, which keeps them antimonotone and consistent;
+    ``UNREACHED`` marks a set no word takes to every state (always the
+    empty one).  None past ``DISTANCE_TABLE_DIMENSION_CAP``.
+    """
+    n = mset.n
+    if n > DISTANCE_TABLE_DIMENSION_CAP:
+        return None
+    full = (1 << n) - 1
+    preimages: list[list[int]] = [[] for _ in range(full + 1)]
+    for g in mset.generators:
+        image = [0]
+        for row in g.rows:
+            image += [acc | row for acc in image]
+        for subset, target in enumerate(image):
+            preimages[target].append(subset)
+    dist = bytearray([UNREACHED]) * (full + 1)
+    dist[full] = 0
+    frontier = [full]
+    length = 0
+    while frontier:
+        length = min(length + 1, UNREACHED - 1)
+        reached = []
+        for target in frontier:
+            for subset in preimages[target]:
+                if dist[subset] == UNREACHED:
+                    dist[subset] = length
+                    reached.append(subset)
+        frontier = reached
+    return dist
+
+
 def explore(
     mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
 ) -> SearchResult:
     """Level-order search of the generated semigroup for the exponent.
 
+    Row i of P*W is the forward image of row i of P under W, so a product P
+    of length d reaches the all-ones matrix no sooner than d + h(P), with
+    h(P) = max_i delta(row i of P) read off ``subset_distances``.  h is
+    antimonotone (P <= Q gives h(Q) <= h(P)) and consistent
+    (h(P) <= 1 + h(P*g)), so a ``LevelSearch`` with this ``distance`` and
+    depth bound U stores exactly the maximal keys of the products within
+    the bound, and finds the all-ones matrix iff the exponent is at most U.
+    The search runs in passes with a rising bound U, as in IDA*: U starts at
+    L = max_i delta({i}), a lower bound on the exponent, and rises by one
+    after each pass that ends without the all-ones matrix, up to
+    ``max_depth`` (default ``default_max_depth(n)``).  Past the table cap,
+    and on a non-primitive set (some delta({i}) is unreached exactly then),
+    h is 0 and the one pass has U = ``max_depth``.
+
     Stops as soon as the all-ones matrix appears, when the semigroup is
     closed (no new products), or when a limit is hit; in the latter case
-    the result is flagged partial via ``limit``.  Non-primitive input is
-    fine: the exponent simply stays None.  ``max_depth`` defaults to
-    ``default_max_depth(n)``; the other limits are ``LevelSearch``'s.
+    the result is flagged partial via ``limit``, "depth" once the pass at
+    U = ``max_depth`` ends without the all-ones matrix.  ``max_states``
+    caps the products stored over all passes, and ``explored`` and
+    ``pruned`` sum them; ``depth_reached`` is the last pass's.  A pass that
+    ends within its budget proves the exponent exceeds U, which
+    ``lower_bound`` records.  Non-primitive input is fine: the exponent
+    simply stays None.
     """
     mset.require_nz()
     n = mset.n
+    if max_depth is None:
+        max_depth = default_max_depth(n)
     result = SearchResult(n=n)
     ones = ((1 << n) - 1,) * n
     images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
     # Digits are bytes, so at n <= 8 a key (a tuple of rows) is its own digits.
     row_bytes = (n + 7) // 8
-    search = LevelSearch(
-        result,
-        mset.m,
-        lambda key, g: tuple(map(images[g], key)),
-        (lambda key: key) if n <= 8 else lambda key: b"".join(
-            [row.to_bytes(row_bytes, "little") for row in key]
-        ),
-        [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)],
-        1,
-        default_max_depth(n) if max_depth is None else max_depth,
-        max_states,
+    digits = (lambda key: key) if n <= 8 else lambda key: b"".join(
+        [row.to_bytes(row_bytes, "little") for row in key]
     )
-    keys = search.keys
-    for node in search:
-        if keys[node] == ones:
-            result.exponent = Reach(result.depth_reached, search.word(node))
+    roots = [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)]
+    dist = subset_distances(mset)
+    # Every product has length at least 1, even at n = 1 where delta({0}) = 0.
+    lower = UNREACHED if dist is None else max(1, *(dist[1 << i] for i in range(n)))
+    if lower == UNREACHED:
+        distance, bound = None, max_depth
+    else:
+        distance, bound = (lambda key: max(map(dist.__getitem__, key))), min(lower, max_depth)
+        result.lower_bound = lower
+    states = max_states
+    while True:
+        level = LevelResult(n=n)
+        search = LevelSearch(
+            level,
+            mset.m,
+            lambda key, g: tuple(map(images[g], key)),
+            digits,
+            roots,
+            1,
+            bound,
+            states,
+            distance,
+        )
+        keys = search.keys
+        for node in search:
+            if keys[node] == ones:
+                result.exponent = Reach(level.depth_reached, search.word(node))
+                result.lower_bound = level.depth_reached
+                break
+        result.explored += level.explored
+        result.pruned += level.pruned
+        result.depth_reached = level.depth_reached
+        if result.exponent is not None or level.limit == "states":
+            result.limit = level.limit
             break
+        # The pass ended within its budget without the all-ones matrix.
+        result.lower_bound = max(result.lower_bound, bound + 1)
+        if bound >= max_depth:
+            # Only an unbounded pass can run out of products.
+            result.exhausted = level.exhausted and distance is None
+            result.limit = None if result.exhausted else "depth"
+            break
+        bound += 1
+        states = search.max_states - level.explored
     return result

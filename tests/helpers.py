@@ -7,6 +7,7 @@ an independent route, not against itself.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from contextlib import contextmanager
@@ -101,18 +102,21 @@ def row_tuple_product(rows: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, .
     return tuple(out)
 
 
-def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> set[tuple[int, ...]]:
-    """Full forward closure of the generated semigroup, as row-tuple keys."""
+def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> dict[tuple[int, ...], int]:
+    """Full forward closure of the generated semigroup: each product, as a
+    row-tuple key, with the length of its shortest word."""
     gens = [g.rows for g in mset.generators]
-    seen = set(gens)
-    frontier = list(dict.fromkeys(gens))
+    seen = dict.fromkeys(gens, 1)
+    frontier = list(seen)
+    length = 1
     while frontier:
+        length += 1
         nxt = []
         for rows in frontier:
             for g in gens:
                 child = row_tuple_product(rows, g)
                 if child not in seen:
-                    seen.add(child)
+                    seen[child] = length
                     nxt.append(child)
                     if len(seen) > cap:
                         raise RuntimeError("closure cap exceeded")
@@ -133,24 +137,29 @@ def maximal(cands) -> set:
 
 
 def maximal_levels(
-    roots, children, cap: int = 200_000, depth: int | None = None
+    roots, children, cap: int = 200_000, depth: int | None = None, keep=None
 ) -> tuple[list[set], int]:
     """The stored levels of a search that keeps each level's maximal new
     keys, and the number of distinct keys it met (kept or not).
 
     Level 0 is the maximal roots; the next level is every child of the
     current level not seen before (every candidate, kept or not, counts as
-    seen), filtered pairwise by ``maximal``.  Stops at the first level with
-    no candidate, or once it holds ``depth`` levels.
+    seen), filtered pairwise by ``maximal``.  With ``keep``, a key is a
+    candidate of level i only if ``keep(i, key)``; one it rejects is not
+    met.  Stops at the first level with no candidate, or once it holds
+    ``depth`` levels.
     """
-    seen = set(roots)
+    keep = keep or (lambda depth, key: True)
+    seen = {root for root in roots if keep(0, root)}
     level = maximal(seen)
     levels = []
     while level:
         levels.append(level)
         if len(levels) == depth:
             break
-        cands = {c for key in level for c in children(key)} - seen
+        cands = {
+            c for key in level for c in children(key) if c not in seen and keep(len(levels), c)
+        }
         seen |= cands
         if len(seen) > cap:
             raise RuntimeError("maximal-levels cap exceeded")
@@ -158,15 +167,111 @@ def maximal_levels(
     return levels, len(seen)
 
 
+@functools.lru_cache(maxsize=4)
+def entry_rows(mset: MatrixSet) -> list[list[int]]:
+    """Each generator's rows as bit masks, read entry by entry."""
+    n = mset.n
+    return [
+        [sum(1 << j for j in range(n) if g.entry(s, j)) for s in range(n)]
+        for g in mset.generators
+    ]
+
+
+def subset_distance(mset: MatrixSet, subset: int, limit: int | None = None) -> int | None:
+    """The length of the shortest word whose forward image of the row set
+    ``subset`` (a mask) is every state, by a breadth-first search forward
+    from it; None if no word of length at most ``limit`` (or of any length)
+    does.  The image of S under g is the set of columns j with some entry
+    g(s, j), s in S, read entry by entry."""
+    n = mset.n
+    full = (1 << n) - 1
+    rows = entry_rows(mset)
+    dist = {subset: 0}
+    queue = deque([subset])
+    while queue:
+        current = queue.popleft()
+        if current == full:
+            return dist[current]
+        if dist[current] == limit:
+            continue
+        for g_rows in rows:
+            image = 0
+            for s in range(n):
+                if (current >> s) & 1:
+                    image |= g_rows[s]
+            if image not in dist:
+                dist[image] = dist[current] + 1
+                queue.append(image)
+    return None
+
+
+def product_distance(mset: MatrixSet, limit: int | None = None):
+    """h(P) = max over the rows of P of ``subset_distance``, for row-tuple
+    products P: a lower bound on how many more letters P needs to become the
+    all-ones matrix; None where some row reaches every state by no word of
+    length at most ``limit``.  Row distances are cached per call."""
+    cache: dict[int, int | None] = {}
+
+    def h(rows):
+        worst = 0
+        for row in rows:
+            if row not in cache:
+                cache[row] = subset_distance(mset, row, limit)
+            if cache[row] is None:
+                return None
+            worst = max(worst, cache[row])
+        return worst
+
+    return h
+
+
 def product_levels(
-    mset: MatrixSet, depth: int | None = None
+    mset: MatrixSet, depth: int | None = None, bound: int | None = None
 ) -> tuple[list[set[tuple[int, ...]]], int]:
     """``maximal_levels`` of the forward products, level 0 holding the
-    generators (products of length 1)."""
+    generators (products of length 1).  With ``bound`` U, only the products
+    P of length d with d + h(P) <= U are candidates."""
     gens = [g.rows for g in mset.generators]
+    keep = None
+    if bound is not None:
+        h = product_distance(mset, bound)
+
+        def keep(level, rows):
+            slack = h(rows)
+            return slack is not None and level + 1 + slack <= bound
+
     return maximal_levels(
-        gens, lambda rows: [row_tuple_product(rows, g) for g in gens], depth=depth
+        gens, lambda rows: [row_tuple_product(rows, g) for g in gens], depth=depth, keep=keep
     )
+
+
+def product_passes(mset: MatrixSet, max_depth: int, primitive: bool | None = None):
+    """The passes of a bounded exponent search, as ``(U, levels, met)``
+    with ``levels, met = product_levels(mset, bound=U)`` (``bound=None``,
+    and so no bound, for a set that is not primitive).
+
+    U starts at L = max(1, max_i delta({i})) and rises by one until a pass
+    holds the all-ones matrix or U is ``max_depth``; it never exceeds
+    ``max_depth``.  delta({i}) is searched up to ``max_depth`` only, which
+    settles min(L, max_depth); ``primitive``, when given, says whether an
+    unreached singleton means no bound, else it is searched in full.
+    """
+    n = mset.n
+    ones = ((1 << n) - 1,) * n
+    singles = [subset_distance(mset, 1 << i, max_depth) for i in range(n)]
+    if None in singles:
+        if primitive is None:
+            primitive = None not in [subset_distance(mset, 1 << i) for i in range(n)]
+        bounds = [max_depth] if primitive else [None]
+    else:
+        bounds = list(range(min(max(1, *singles), max_depth), max_depth + 1))
+    passes = []
+    for bound in bounds:
+        levels, met = product_levels(mset, depth=bound or max_depth, bound=bound)
+        passes.append((bound, levels, met))
+        if levels and ones in levels[-1]:
+            break
+    return passes
 
 
 def subset_levels(

@@ -196,7 +196,7 @@ class TestVerificationReports:
         assert report.lower_ok and report.upper_ok
 
     def test_kari_sandwich_holds(self):
-        # The exponent sits at depth 28; the search stores 45,223 maximal
+        # The exponent sits at depth 28; the bounded passes store 12,304
         # products on the way (832,573 distinct products without pruning).
         report = verify_sandwich(kari_set())
         assert report.lower_ok and report.upper_ok

@@ -12,7 +12,8 @@ import pytest
 
 from rendezvous import (
     BoolMatrix, MatrixSet, associated_automaton, cpr_set, example_set, explore,
-    kari_set, semigroup, serialize_set, set_profile, subset_bfs,
+    kari_set, parse_set_file, semigroup, serialize_set, set_profile, subset_bfs,
+    witness_replay,
 )
 from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
 from rendezvous.cli import _cmd_witness, build_parser, main
@@ -84,7 +85,8 @@ class TestScalarCommands:
         assert code == 0
         # The cap holds during the first level too.  The profile's two subset
         # searches store one singleton each (length 0), then stop; the
-        # exponent search stores one product (length 1).
+        # exponent search stores one product (length 1), in its second pass,
+        # since no generator lies within the first pass's bound U = 5.
         assert out.splitlines() == [
             "k=2 rt=not-found (states; explored=2, depth=0)",
             "k=3 rt=not-found (states; explored=2, depth=0)",
@@ -183,6 +185,26 @@ class TestAutomataCommands:
         code, out, err = run(capsys, "automata", "construct", "--file", str(path))
         assert (code, err) == (0, "")
         assert "aut: 2 letters" in out and "aut_T: 2 letters" in out
+
+    def test_sparse08_exponent_lies_in_the_sandwich(self, capsys):
+        # A primitive pair at n = 8 (two permutations plus three ones) whose
+        # exponent 29 the unbounded level search did not reach within
+        # 300,000 stored products; the bounded passes store a few thousand.
+        mset = parse_set_file(SPARSE08)
+        cap = ("--file", SPARSE08, "--max-states", "100000")
+        assert run(capsys, "exponent", *cap) == (0, "29\n", "")
+        code, out, err = run(capsys, "krt", *cap)
+        assert (code, err) == (0, "")
+        labels = out.splitlines()[-1].removeprefix("exponent=29 word=").split(",")
+        word = [mset.labels.index(label) for label in labels]
+        assert len(word) == 29
+        assert witness_replay(mset, word) == BoolMatrix.ones(8)
+        code, out, err = run(capsys, "automata", "sandwich", *cap)
+        assert (code, err) == (0, "")
+        fields = dict(line.split("=") for line in out.splitlines())
+        assert fields["exponent"] == "29"
+        assert int(fields["rt_aut"]) <= 29 <= int(fields["upper"])
+        assert fields["lower_ok"] == fields["upper_ok"] == "true"
 
     def test_letter_cap_error(self, capsys):
         code, out, err = run(
@@ -343,6 +365,7 @@ class TestErrors:
 
 ONE = str(DATA / "one.set")
 KARI = str(DATA / "kari.set")
+SPARSE08 = str(DATA / "sparse08.set")
 SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets it
 # Reducible, yet every pair reaches (0, 0), the heuristic's seed singleton.
 LOWER = str(DATA / "lower.set")

@@ -31,6 +31,7 @@ from rendezvous import (
     cpr_set,
     evaluate_escape,
     example_set,
+    default_max_depth,
     explore,
     kari_set,
     parse_set_file,
@@ -47,8 +48,14 @@ from rendezvous.cli import main
 from rendezvous.pairgraph import pair_vertices
 from rendezvous.boolmat import max_column_weight, row_image
 from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
-from rendezvous.semigroup import _maximal
+from rendezvous.semigroup import (
+    DISTANCE_TABLE_DIMENSION_CAP,
+    UNREACHED,
+    _maximal,
+    subset_distances,
+)
 from helpers import (
+    brute_force_primitive,
     entry_leq,
     entry_max_weight,
     escape_oracle,
@@ -58,12 +65,15 @@ from helpers import (
     maximal,
     oracle_path,
     pair_distances_oracle,
+    product_distance,
     product_levels,
+    product_passes,
     reached,
     recorded_searches,
     row_tuple_product,
     semigroup_closure,
     stored_levels,
+    subset_distance,
     subset_levels,
     undeduplicated_profile,
 )
@@ -190,6 +200,28 @@ def test_explore_profile_and_exponent_match_oracle(mset, depth):
     profile, exponent = undeduplicated_profile(mset, max_depth=depth)
     assert profile_lengths(set_profile(mset, max_depth=depth)) == profile
     assert (result.exponent.length if result.exponent else None) == exponent
+    if result.exponent:
+        assert len(result.exponent.word) == exponent
+        assert witness_replay(mset, result.exponent.word) == BoolMatrix.ones(mset.n)
+
+
+@PROPERTY
+@given(nz_sets(max_n=6))
+def test_distance_table_matches_the_forward_oracle(mset):
+    n = mset.n
+    table = subset_distances(mset)
+    oracle = [subset_distance(mset, subset) for subset in range(1 << n)]
+    assert list(table) == [UNREACHED if d is None else d for d in oracle]
+    # Some singleton never reaches every state exactly on a set that is not
+    # primitive.
+    singles = [oracle[1 << i] for i in range(n)]
+    assert (None in singles) == (not brute_force_primitive(mset))
+    gens = [g.rows for g in mset.generators]
+    for s in range(1 << n):
+        # Antimonotone: a superset is no farther from every state.
+        assert all(table[s | t] <= table[s] for t in range(1 << n))
+        # Consistent: one letter brings a set at most one step closer.
+        assert all(table[s] <= 1 + table[row_tuple_product((s,), g)[0]] for g in gens)
 
 
 @PROPERTY
@@ -221,12 +253,24 @@ def test_explore_never_stores_more_than_max_states(mset, cap):
 def test_explore_stores_a_dominating_part_of_the_closure(mset):
     with recorded_searches() as searches:
         result = explore(mset)
-    stored = set(searches[0].keys)
     closure = semigroup_closure(mset)
     ones = ((1 << mset.n) - 1,) * mset.n
-    assert stored <= closure
-    assert all(any(entry_leq(rows, key) for key in stored) for rows in closure)
+    h = product_distance(mset)
+    for search in searches:
+        # Each pass with bound U stores products of the closure, and every
+        # product that a word of length d spells with d + h <= U lies below
+        # one of them (without a bound, every product up to its depth).
+        bound = search.max_depth
+        stored = set(search.keys)
+        assert stored <= closure.keys()
+        within = [
+            rows for rows, length in closure.items()
+            if length <= bound
+            and (search.distance is None or length + h(rows) <= bound)
+        ]
+        assert all(any(entry_leq(rows, key) for key in stored) for rows in within)
     if result.exhausted:
+        assert len(searches) == 1
         assert result.explored == sum(map(len, product_levels(mset)[0]))
         assert result.exponent is None and ones not in closure
     else:
@@ -239,19 +283,33 @@ def assert_antichains(levels):
             assert not any(b != a and entry_leq(a, b) for b in level)
 
 
+def assert_passes_match_the_oracle(mset, searches, result, max_depth, primitive=None):
+    """Each recorded pass of ``explore`` stores the oracle's levels under
+    its bound, in the oracle's order of passes, and the result sums them."""
+    passes = product_passes(mset, max_depth, primitive)
+    assert [(search.max_depth, search.distance is not None) for search in searches] == [
+        (bound or max_depth, bound is not None) for bound, _, _ in passes
+    ]
+    for search, (_, oracle, _) in zip(searches, passes):
+        levels = stored_levels(search)
+        assert_antichains(levels)
+        assert levels == oracle
+    assert result.explored == sum(len(search.keys) for search in searches)
+    assert result.pruned == sum(met for _, _, met in passes) - result.explored
+    assert result.depth_reached == len(passes[-1][1])
+    assert (result.limit is None) == (result.exponent is not None or result.exhausted)
+    if result.exponent is None:
+        assert result.lower_bound > max_depth
+    else:
+        assert result.lower_bound == result.exponent.length == len(passes[-1][1])
+
+
 @PROPERTY
 @given(nz_sets())
 def test_explore_levels_are_the_maximal_levels_of_the_oracle(mset):
     with recorded_searches() as searches:
         result = explore(mset)
-    levels = stored_levels(searches[0])
-    assert_antichains(levels)
-    oracle, met = product_levels(mset)
-    if result.limit is None:
-        assert levels == oracle
-        assert result.pruned == met - result.explored
-    else:
-        assert result.limit == "depth" and levels == oracle[: len(levels)]
+    assert_passes_match_the_oracle(mset, searches, result, default_max_depth(mset.n))
 
 
 @PROPERTY
@@ -278,15 +336,31 @@ def assert_levels_match(levels, oracle, stopped_at_target):
 
 # Past 8 states a row, or a subset's mask, spans more than one byte-sized
 # digit of the domination index.
-@settings(PROPERTY, max_examples=30)
+# The depth limit lies a few steps past L, so the bounded passes store keys.
+@settings(PROPERTY, max_examples=60)
 @given(thin_nz_sets(9, 12), st.integers(1, 5))
-def test_explore_levels_past_one_byte_match_the_oracle(mset, depth):
+def test_explore_levels_past_one_byte_match_the_oracle(mset, extra):
+    singles = [subset_distance(mset, 1 << i) for i in range(mset.n)]
+    assume(None not in singles)
+    depth = max(singles) + extra
     with recorded_searches() as searches:
         result = explore(mset, max_depth=depth)
+    assert_passes_match_the_oracle(mset, searches, result, depth, primitive=True)
+
+
+# Past the distance table's cap the search runs unbounded, in one pass.
+@settings(PROPERTY, max_examples=30)
+@given(thin_nz_sets(DISTANCE_TABLE_DIMENSION_CAP + 1, 20), st.integers(1, 4))
+def test_explore_levels_past_the_table_cap_match_the_oracle(mset, depth):
+    with recorded_searches() as searches:
+        result = explore(mset, max_depth=depth)
+    (search,) = searches
+    assert search.distance is None and search.max_depth == depth
     oracle, met = product_levels(mset, depth)
-    assert_levels_match(stored_levels(searches[0]), oracle, result.exponent is not None)
+    assert_levels_match(stored_levels(search), oracle, result.exponent is not None)
     if result.exponent is None:
-        assert result.pruned == met - result.explored
+        assert result.limit == "depth" and result.pruned == met - result.explored
+        assert result.lower_bound == depth + 1
 
 
 @settings(PROPERTY, max_examples=30)

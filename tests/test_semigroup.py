@@ -19,10 +19,12 @@ from rendezvous import (
 )
 from helpers import (
     entry_max_weight,
+    product_levels,
     random_nz_set,
     random_primitive_set,
     recorded_searches,
     shift_plus_one,
+    subset_distance,
     undeduplicated_profile,
 )
 
@@ -85,10 +87,15 @@ class TestExplore:
         assert 2 not in profile.krt
 
     def test_depth_limit_flags_partial_result(self):
-        result = explore(example_set(), max_depth=2)
+        # L = max_i delta({i}) = 5 on the example, so the one pass has bound
+        # U = 2, and no generator G has 1 + h(G) <= 2: nothing is stored.
+        example = example_set()
+        assert max(subset_distance(example, 1 << i) for i in range(3)) == 5
+        assert product_levels(example, bound=2) == ([], 0)
+        result = explore(example, max_depth=2)
         assert result.exponent is None
         assert result.limit == "depth"
-        assert result.depth_reached == 2
+        assert (result.explored, result.depth_reached, result.lower_bound) == (0, 0, 5)
 
     def test_state_limit_flags_partial_result(self):
         result = explore(example_set(), max_states=3)
@@ -159,11 +166,46 @@ class TestExplore:
         assert witness_replay(cpr_set(), result.exponent.word) == BoolMatrix.ones(4)
 
     def test_kari_work_counters_frozen(self):
-        # The domination index is exact, so a kernel that moves these
-        # counts stores a different antichain.
+        # The domination index and the distance bound are exact, so a change
+        # that moves these counts stores different keys.  The counts are the
+        # oracle's: ``helpers.product_passes(kari_set(), 56)`` (about 7 s)
+        # runs the passes U = 15..28, whose levels hold 12,304 products and
+        # meet 1,253 more, and whose last pass holds 28 levels.
         result = explore(kari_set())
-        assert (result.explored, result.pruned, result.depth_reached) == (45_223, 31_504, 28)
-        assert result.exponent.length == 28
+        assert (result.explored, result.pruned, result.depth_reached) == (12_304, 1_253, 28)
+        assert result.exponent.length == result.lower_bound == 28
+        assert witness_replay(kari_set(), result.exponent.word) == BoolMatrix.ones(6)
+
+    def test_kari_lower_bound_under_a_state_cap(self):
+        # The oracle's passes from L, each stored in full until one would
+        # pass the cap: the last one stored in full proves exponent > U.
+        kari, cap = kari_set(), 2000
+        bound = max(subset_distance(kari, 1 << i) for i in range(kari.n))
+        stored = 0
+        while True:
+            levels, _ = product_levels(kari, depth=bound, bound=bound)
+            stored += sum(map(len, levels))
+            if stored >= cap:
+                break
+            bound += 1
+        result = explore(kari, max_states=cap)
+        assert (result.limit, result.explored, result.exponent) == ("states", cap, None)
+        assert result.lower_bound == bound <= 28
+
+    def test_builtin_exponents_match_the_unpruned_oracle_under_every_depth(self):
+        for mset in (example_set(), cpr_set()):
+            _, exponent = undeduplicated_profile(mset, max_depth=15)
+            for depth in range(1, exponent + 2):
+                result = explore(mset, max_depth=depth)
+                if depth < exponent:
+                    assert result.exponent is None and result.limit == "depth"
+                    assert depth < result.lower_bound <= exponent
+                else:
+                    assert result.exponent.length == result.lower_bound == exponent
+                    replay = witness_replay(mset, result.exponent.word)
+                    assert replay == BoolMatrix.ones(mset.n)
+        result = explore(kari_set(), max_depth=27)
+        assert (result.exponent, result.limit, result.lower_bound) == (None, "depth", 28)
 
     def test_kari_profile_frozen_and_cross_checked(self):
         # Frozen regression values, re-derived on every run through the
