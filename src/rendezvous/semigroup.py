@@ -54,8 +54,10 @@ DEFAULT_MAX_STATES = 10_000_000
 # millions of keys at about 210 B per stored subset.
 EXACT_SEARCH_DIMENSION_CAP = 64
 # The exponent search's distance table has 2^n one-byte entries; past this
-# n the search runs without its bound, in one pass.
-DISTANCE_TABLE_DIMENSION_CAP = 16
+# n the search runs without its bound, in one pass.  Every call builds the
+# table first: at n = 13 that adds about 5 ms to a search the bound does not
+# help, at n = 16 about 60 ms.
+DISTANCE_TABLE_DIMENSION_CAP = 13
 # A table entry no word reaches; reached distances are clamped below it.
 UNREACHED = 255
 
@@ -108,7 +110,8 @@ class LevelResult:
 
 @dataclass
 class SearchResult(LevelResult):
-    """``explore``'s result: the counts are summed over its passes, and
+    """``explore``'s result: the counts are summed over its passes (or are
+    the unbounded pass's, once the passes ran out of budget), and
     ``lower_bound`` is a length no shorter word reaches the all-ones matrix
     at (the exponent's length once found)."""
 
@@ -244,10 +247,7 @@ class LevelSearch:
             raise DimensionError(
                 f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {result.n}"
             )
-        if any(limit is not None and limit < 1 for limit in (max_depth, max_states)):
-            raise ValueError(
-                f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
-            )
+        self.check_limits(max_depth, max_states)
         self.result = result
         self.m = m
         self.child = child
@@ -261,6 +261,13 @@ class LevelSearch:
         self.parents: list[int] = []
         self.letters: list[int] = []
         self.seen: set[K] = set()
+
+    @staticmethod
+    def check_limits(max_depth: int | None, max_states: int | None) -> None:
+        if any(limit is not None and limit < 1 for limit in (max_depth, max_states)):
+            raise ValueError(
+                f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
+            )
 
     def word(self, node: int) -> tuple[int, ...]:
         """Letters on the path from the node's root to the node, root first."""
@@ -386,19 +393,23 @@ def explore(
     The search runs in passes with a rising bound U, as in IDA*: U starts at
     L = max_i delta({i}), a lower bound on the exponent, and rises by one
     after each pass that ends without the all-ones matrix, up to
-    ``max_depth`` (default ``default_max_depth(n)``).  Past the table cap,
-    and on a non-primitive set (some delta({i}) is unreached exactly then),
-    h is 0 and the one pass has U = ``max_depth``.
+    ``max_depth`` (default ``default_max_depth(n)``); if L exceeds
+    ``max_depth`` no pass runs.  Past the table cap, and on a non-primitive
+    set (some delta({i}) is unreached exactly then), there is no bound and
+    the one pass has U = ``max_depth``.
 
     Stops as soon as the all-ones matrix appears, when the semigroup is
     closed (no new products), or when a limit is hit; in the latter case
     the result is flagged partial via ``limit``, "depth" once the pass at
     U = ``max_depth`` ends without the all-ones matrix.  ``max_states``
     caps the products stored over all passes, and ``explored`` and
-    ``pruned`` sum them; ``depth_reached`` is the last pass's.  A pass that
-    ends within its budget proves the exponent exceeds U, which
-    ``lower_bound`` records.  Non-primitive input is fine: the exponent
-    simply stays None.
+    ``pruned`` sum them; ``depth_reached`` is the last pass's.  If the
+    passes run out of that budget, the search starts again as the one
+    unbounded pass under the whole cap, so it finds every exponent that
+    pass finds (a call then stores up to twice ``max_states`` keys), and
+    the counts are that pass's.  A pass that ends within its budget proves
+    the exponent exceeds U, which ``lower_bound`` records.  Non-primitive
+    input is fine: the exponent simply stays None.
     """
     mset.require_nz()
     n = mset.n
@@ -414,13 +425,18 @@ def explore(
     )
     roots = [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)]
     dist = subset_distances(mset)
-    # Every product has length at least 1, even at n = 1 where delta({0}) = 0.
-    lower = UNREACHED if dist is None else max(1, *(dist[1 << i] for i in range(n)))
-    if lower == UNREACHED:
-        distance, bound = None, max_depth
-    else:
-        distance, bound = (lambda key: max(map(dist.__getitem__, key))), min(lower, max_depth)
-        result.lower_bound = lower
+    distance = None
+    if dist is not None and all(dist[1 << i] != UNREACHED for i in range(n)):
+        distance = lambda key: max(map(dist.__getitem__, key))
+        # Every product has length at least 1, even at n = 1 where
+        # delta({0}) = 0.
+        result.lower_bound = max(1, *(dist[1 << i] for i in range(n)))
+        if result.lower_bound > max_depth:
+            # No product is within the bound, so no pass runs.
+            LevelSearch.check_limits(max_depth, max_states)
+            result.limit = "depth"
+            return result
+    bound = max_depth if distance is None else result.lower_bound
     states = max_states
     while True:
         level = LevelResult(n=n)
@@ -441,6 +457,13 @@ def explore(
                 result.exponent = Reach(level.depth_reached, search.word(node))
                 result.lower_bound = level.depth_reached
                 break
+        if result.exponent is None and level.limit == "states" and distance is not None:
+            # The passes ran out of budget.  Start again as one unbounded
+            # pass under the whole cap, which finds every exponent that
+            # pass finds; its counts replace the passes'.
+            distance, bound, states = None, max_depth, max_states
+            result.explored = result.pruned = 0
+            continue
         result.explored += level.explored
         result.pruned += level.pruned
         result.depth_reached = level.depth_reached

@@ -251,10 +251,11 @@ def product_passes(mset: MatrixSet, max_depth: int, primitive: bool | None = Non
     and so no bound, for a set that is not primitive).
 
     U starts at L = max(1, max_i delta({i})) and rises by one until a pass
-    holds the all-ones matrix or U is ``max_depth``; it never exceeds
-    ``max_depth``.  delta({i}) is searched up to ``max_depth`` only, which
-    settles min(L, max_depth); ``primitive``, when given, says whether an
-    unreached singleton means no bound, else it is searched in full.
+    holds the all-ones matrix or U is ``max_depth``; there is no pass if L
+    exceeds ``max_depth``.  delta({i}) is searched up to ``max_depth``
+    only, which settles whether L does; ``primitive``, when given, says
+    whether an unreached singleton means no bound, else it is searched in
+    full.
     """
     n = mset.n
     ones = ((1 << n) - 1,) * n
@@ -262,9 +263,9 @@ def product_passes(mset: MatrixSet, max_depth: int, primitive: bool | None = Non
     if None in singles:
         if primitive is None:
             primitive = None not in [subset_distance(mset, 1 << i) for i in range(n)]
-        bounds = [max_depth] if primitive else [None]
+        bounds = [] if primitive else [None]
     else:
-        bounds = list(range(min(max(1, *singles), max_depth), max_depth + 1))
+        bounds = list(range(max(1, *singles), max_depth + 1))
     passes = []
     for bound in bounds:
         levels, met = product_levels(mset, depth=bound or max_depth, bound=bound)

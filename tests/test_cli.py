@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 from rendezvous import (
-    BoolMatrix, MatrixSet, associated_automaton, cpr_set, example_set, explore,
-    kari_set, parse_set_file, semigroup, serialize_set, set_profile, subset_bfs,
+    BoolMatrix, MatrixSet, associated_automaton, cpr_set, default_max_depth, example_set,
+    explore, kari_set, parse_set_file, semigroup, serialize_set, set_profile, subset_bfs,
     witness_replay,
 )
 from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
 from rendezvous.cli import _cmd_witness, build_parser, main
-from helpers import shift_plus_one, subset_levels
+from helpers import product_levels, product_passes, shift_plus_one, subset_levels
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,12 +86,34 @@ class TestScalarCommands:
         # The cap holds during the first level too.  The profile's two subset
         # searches store one singleton each (length 0), then stop; the
         # exponent search stores one product (length 1), in its second pass,
-        # since no generator lies within the first pass's bound U = 5.
+        # since no generator lies within the first pass's bound U = 5; then
+        # its one unbounded pass stores the same product and stops.
         assert out.splitlines() == [
             "k=2 rt=not-found (states; explored=2, depth=0)",
             "k=3 rt=not-found (states; explored=2, depth=0)",
             "exponent=not-found (states; explored=1, depth=1)",
         ]
+
+    def test_cpr_exponent_found_under_a_cap_the_passes_outgrow(self, capsys):
+        # On cpr the bound prunes little: the passes store more products in
+        # all than the one unbounded pass, which stores its levels up to the
+        # all-ones matrix.  Under a cap between the two counts the passes run
+        # out of budget and the unbounded pass still finds the exponent.
+        cpr = cpr_set()
+        levels, _ = product_levels(cpr)
+        one_pass = sum(map(len, levels))
+        passes = product_passes(cpr, default_max_depth(cpr.n))
+        assert sum(sum(map(len, stored)) for _, stored, _ in passes) > one_pass
+        cap = ("--builtin", "cpr", "--max-states", str(one_pass))
+        assert run(capsys, "exponent", *cap) == (0, f"{len(levels)}\n", "")
+        code, out, err = run(capsys, "automata", "sandwich", *cap)
+        assert (code, err) == (0, "")
+        assert f"exponent={len(levels)}" in out.splitlines()
+        # One product fewer and that pass stops short of the last level.
+        out = run(capsys, "exponent", "--builtin", "cpr", "--max-states", str(one_pass - 1))
+        assert out == (
+            0, f"not-found (states; explored={one_pass - 1}, depth={len(levels) - 1})\n", ""
+        )
 
     def test_krt_single_k_depth_limit_named(self, capsys):
         code, out, _ = run(

@@ -15,7 +15,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rendezvous import (
     Automaton,
@@ -249,6 +249,29 @@ def test_explore_never_stores_more_than_max_states(mset, cap):
 
 
 @PROPERTY
+@given(nz_sets(), st.integers(-2, 2))
+@example(cpr_set(), 0)
+def test_explore_finds_every_exponent_one_unbounded_pass_finds_under_the_cap(mset, slack):
+    # One unbounded pass stores the oracle's levels up to the one that holds
+    # the all-ones matrix (and nothing else), so a cap of that many products
+    # is the least under which it finds the exponent.  The passes may store
+    # more in all (on cpr they do), and then fall back to that pass.
+    levels, _ = product_levels(mset)
+    ones = ((1 << mset.n) - 1,) * mset.n
+    found = ones in levels[-1]
+    cap = max(1, sum(map(len, levels)) + slack)
+    result = explore(mset, max_states=cap)
+    assert result.explored <= cap
+    if found and slack >= 0:
+        assert result.exponent is not None
+    if result.exponent is not None:
+        assert found and result.exponent.length == result.lower_bound == len(levels)
+        assert witness_replay(mset, result.exponent.word) == BoolMatrix.ones(mset.n)
+    elif found:
+        assert result.limit == "states" and result.lower_bound <= len(levels)
+
+
+@PROPERTY
 @given(nz_sets(max_n=4, max_m=2))
 def test_explore_stores_a_dominating_part_of_the_closure(mset):
     with recorded_searches() as searches:
@@ -296,7 +319,7 @@ def assert_passes_match_the_oracle(mset, searches, result, max_depth, primitive=
         assert levels == oracle
     assert result.explored == sum(len(search.keys) for search in searches)
     assert result.pruned == sum(met for _, _, met in passes) - result.explored
-    assert result.depth_reached == len(passes[-1][1])
+    assert result.depth_reached == (len(passes[-1][1]) if passes else 0)
     assert (result.limit is None) == (result.exponent is not None or result.exhausted)
     if result.exponent is None:
         assert result.lower_bound > max_depth
@@ -310,6 +333,15 @@ def test_explore_levels_are_the_maximal_levels_of_the_oracle(mset):
     with recorded_searches() as searches:
         result = explore(mset)
     assert_passes_match_the_oracle(mset, searches, result, default_max_depth(mset.n))
+
+
+# A depth limit below L = max_i delta({i}) leaves no pass to run.
+@PROPERTY
+@given(nz_sets(), st.integers(1, 8))
+def test_explore_passes_under_a_depth_limit_match_the_oracle(mset, depth):
+    with recorded_searches() as searches:
+        result = explore(mset, max_depth=depth)
+    assert_passes_match_the_oracle(mset, searches, result, depth)
 
 
 @PROPERTY

@@ -87,8 +87,8 @@ class TestExplore:
         assert 2 not in profile.krt
 
     def test_depth_limit_flags_partial_result(self):
-        # L = max_i delta({i}) = 5 on the example, so the one pass has bound
-        # U = 2, and no generator G has 1 + h(G) <= 2: nothing is stored.
+        # L = max_i delta({i}) = 5 on the example exceeds the depth limit,
+        # so no generator G has 1 + h(G) <= 2 and no pass runs.
         example = example_set()
         assert max(subset_distance(example, 1 << i) for i in range(3)) == 5
         assert product_levels(example, bound=2) == ([], 0)
