@@ -57,7 +57,9 @@ def _add_set_source(parser: argparse.ArgumentParser) -> None:
 
 def _add_limits(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-depth", type=int, default=None, help="BFS depth limit")
-    parser.add_argument("--max-states", type=int, default=None, help="BFS state limit")
+    parser.add_argument(
+        "--max-states", type=int, default=None, help="the most keys one search stores"
+    )
 
 
 @functools.cache

@@ -110,10 +110,10 @@ class LevelResult:
 
 @dataclass
 class SearchResult(LevelResult):
-    """``explore``'s result: the counts are summed over its passes (or are
-    the unbounded pass's, once the passes ran out of budget), and
-    ``lower_bound`` is a length no shorter word reaches the all-ones matrix
-    at (the exponent's length once found)."""
+    """``explore``'s result: the counts are summed over its passes, each of
+    which stores at most ``max_states`` keys, and ``lower_bound`` is a
+    length no shorter word reaches the all-ones matrix at (the exponent's
+    length once found)."""
 
     exponent: Reach | None = None
     lower_bound: int = 1
@@ -226,9 +226,10 @@ class LevelSearch:
 
     Every exact search of the workbench obeys the limits set here, before
     any key is stored: ``result.n`` at most ``EXACT_SEARCH_DIMENSION_CAP``
-    (else ``DimensionError``), ``max_states`` (the most keys ever stored,
-    so ``explored <= max_states``) ``DEFAULT_MAX_STATES`` when None, and
-    ``max_depth`` unbounded when None; a given limit must be at least 1.
+    (else ``DimensionError``), ``max_states`` (the most keys this search
+    stores; a caller that runs several searches sums their counts)
+    ``DEFAULT_MAX_STATES`` when None, and ``max_depth`` unbounded when
+    None; a given limit must be at least 1.
     """
 
     def __init__(
@@ -401,20 +402,20 @@ def explore(
     Stops as soon as the all-ones matrix appears, when the semigroup is
     closed (no new products), or when a limit is hit; in the latter case
     the result is flagged partial via ``limit``, "depth" once the pass at
-    U = ``max_depth`` ends without the all-ones matrix.  ``max_states``
-    caps the products stored over all passes, and ``explored`` and
-    ``pruned`` sum them; ``depth_reached`` is the last pass's.  If the
-    passes run out of that budget, the search starts again as the one
-    unbounded pass under the whole cap, so it finds every exponent that
-    pass finds (a call then stores up to twice ``max_states`` keys), and
-    the counts are that pass's.  A pass that ends within its budget proves
-    the exponent exceeds U, which ``lower_bound`` records.  Non-primitive
-    input is fine: the exponent simply stays None.
+    U = ``max_depth`` ends without the all-ones matrix.  Each pass stores at
+    most ``max_states`` products, and ``explored`` and ``pruned`` sum the
+    passes; ``depth_reached`` is the last pass's.  A pass stores exactly
+    the unbounded pass's keys of each level d with d + h <= U (they are
+    closed upward under domination), so every exponent that pass finds
+    under the cap, the passes find too.  A pass that ends within the cap
+    proves the exponent exceeds U, which ``lower_bound`` records.
+    Non-primitive input is fine: the exponent simply stays None.
     """
     mset.require_nz()
     n = mset.n
     if max_depth is None:
         max_depth = default_max_depth(n)
+    LevelSearch.check_limits(max_depth, max_states)
     result = SearchResult(n=n)
     ones = ((1 << n) - 1,) * n
     images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
@@ -426,19 +427,13 @@ def explore(
     roots = [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)]
     dist = subset_distances(mset)
     distance = None
+    first = max_depth
     if dist is not None and all(dist[1 << i] != UNREACHED for i in range(n)):
         distance = lambda key: max(map(dist.__getitem__, key))
         # Every product has length at least 1, even at n = 1 where
         # delta({0}) = 0.
-        result.lower_bound = max(1, *(dist[1 << i] for i in range(n)))
-        if result.lower_bound > max_depth:
-            # No product is within the bound, so no pass runs.
-            LevelSearch.check_limits(max_depth, max_states)
-            result.limit = "depth"
-            return result
-    bound = max_depth if distance is None else result.lower_bound
-    states = max_states
-    while True:
+        first = result.lower_bound = max(1, *(dist[1 << i] for i in range(n)))
+    for bound in range(first, max_depth + 1):
         level = LevelResult(n=n)
         search = LevelSearch(
             level,
@@ -448,7 +443,7 @@ def explore(
             roots,
             1,
             bound,
-            states,
+            max_states,
             distance,
         )
         keys = search.keys
@@ -457,26 +452,14 @@ def explore(
                 result.exponent = Reach(level.depth_reached, search.word(node))
                 result.lower_bound = level.depth_reached
                 break
-        if result.exponent is None and level.limit == "states" and distance is not None:
-            # The passes ran out of budget.  Start again as one unbounded
-            # pass under the whole cap, which finds every exponent that
-            # pass finds; its counts replace the passes'.
-            distance, bound, states = None, max_depth, max_states
-            result.explored = result.pruned = 0
-            continue
         result.explored += level.explored
         result.pruned += level.pruned
         result.depth_reached = level.depth_reached
         if result.exponent is not None or level.limit == "states":
             result.limit = level.limit
-            break
-        # The pass ended within its budget without the all-ones matrix.
-        result.lower_bound = max(result.lower_bound, bound + 1)
-        if bound >= max_depth:
-            # Only an unbounded pass can run out of products.
-            result.exhausted = level.exhausted and distance is None
-            result.limit = None if result.exhausted else "depth"
-            break
-        bound += 1
-        states = search.max_states - level.explored
+            return result
+        result.lower_bound = bound + 1
+        # Only an unbounded pass can run out of products.
+        result.exhausted = level.exhausted and distance is None
+    result.limit = None if result.exhausted else "depth"
     return result

@@ -86,8 +86,8 @@ class TestScalarCommands:
         # The cap holds during the first level too.  The profile's two subset
         # searches store one singleton each (length 0), then stop; the
         # exponent search stores one product (length 1), in its second pass,
-        # since no generator lies within the first pass's bound U = 5; then
-        # its one unbounded pass stores the same product and stops.
+        # since no generator lies within the first pass's bound U = 5, and
+        # stops there.
         assert out.splitlines() == [
             "k=2 rt=not-found (states; explored=2, depth=0)",
             "k=3 rt=not-found (states; explored=2, depth=0)",
@@ -96,24 +96,31 @@ class TestScalarCommands:
 
     def test_cpr_exponent_found_under_a_cap_the_passes_outgrow(self, capsys):
         # On cpr the bound prunes little: the passes store more products in
-        # all than the one unbounded pass, which stores its levels up to the
-        # all-ones matrix.  Under a cap between the two counts the passes run
-        # out of budget and the unbounded pass still finds the exponent.
+        # all than the one unbounded pass.  Each pass may store the whole
+        # cap, so the least cap that finds the exponent is the largest pass,
+        # one more for a pass that must end without the all-ones matrix.
         cpr = cpr_set()
         levels, _ = product_levels(cpr)
-        one_pass = sum(map(len, levels))
-        passes = product_passes(cpr, default_max_depth(cpr.n))
-        assert sum(sum(map(len, stored)) for _, stored, _ in passes) > one_pass
-        cap = ("--builtin", "cpr", "--max-states", str(one_pass))
-        assert run(capsys, "exponent", *cap) == (0, f"{len(levels)}\n", "")
-        code, out, err = run(capsys, "automata", "sandwich", *cap)
+        passes = [stored for _, stored, _ in product_passes(cpr, default_max_depth(cpr.n))]
+        sizes = [sum(map(len, stored)) for stored in passes]
+        assert sum(sizes) > sum(map(len, levels))
+        cap = max(sizes[-1], *(size + 1 for size in sizes[:-1]))
+        args = ("--builtin", "cpr", "--max-states", str(cap))
+        assert run(capsys, "exponent", *args) == (0, f"{len(levels)}\n", "")
+        code, out, err = run(capsys, "automata", "sandwich", *args)
         assert (code, err) == (0, "")
         assert f"exponent={len(levels)}" in out.splitlines()
-        # One product fewer and that pass stops short of the last level.
-        out = run(capsys, "exponent", "--builtin", "cpr", "--max-states", str(one_pass - 1))
-        assert out == (
-            0, f"not-found (states; explored={one_pass - 1}, depth={len(levels) - 1})\n", ""
+        # One product fewer cuts the first pass that holds that many, at the
+        # level of its last stored key; the passes before it are complete.
+        cap -= 1
+        cut = next(i for i, size in enumerate(sizes) if size >= cap)
+        depth = next(
+            d for d in range(1, len(passes[cut]) + 1)
+            if sum(map(len, passes[cut][:d])) >= cap
         )
+        out = run(capsys, "exponent", "--builtin", "cpr", "--max-states", str(cap))
+        explored = sum(sizes[:cut]) + cap
+        assert out == (0, f"not-found (states; explored={explored}, depth={depth})\n", "")
 
     def test_krt_single_k_depth_limit_named(self, capsys):
         code, out, _ = run(

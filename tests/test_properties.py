@@ -241,11 +241,30 @@ def test_set_profile_matches_unpruned_oracle_and_replays(mset, depth):
 
 @PROPERTY
 @given(nz_sets(), st.integers(1, 30))
+@example(cpr_set(), 30)
 def test_explore_never_stores_more_than_max_states(mset, cap):
-    result = explore(mset, max_states=cap)
-    assert result.explored <= cap
+    # Each pass stores the oracle's pass in full, or stops once it holds
+    # the cap, which ends the search unless the cap-th key is the all-ones
+    # matrix.  A pass that ends within the cap proves exponent > U.  Drawn
+    # sets mostly need one pass; on cpr the passes U = 9..11 together
+    # outgrow the cap of 30 before one pass reaches it.
+    with recorded_searches() as searches:
+        result = explore(mset, max_states=cap)
+    passes = product_passes(mset, default_max_depth(mset.n))
+    sizes = [sum(map(len, levels)) for _, levels, _ in passes]
+    full = [size >= cap for size in sizes]
+    count = full.index(True) + 1 if True in full else len(passes)
+    assert len(searches) == count
+    for search, (_, levels, _) in zip(searches[:-1], passes):
+        assert stored_levels(search) == levels
+    assert all(len(search.keys) <= cap for search in searches)
+    assert result.explored == sum(len(search.keys) for search in searches)
+    assert (result.limit == "states") == (True in full and result.exponent is None)
     if result.limit == "states":
-        assert result.explored == cap
+        assert len(searches[-1].keys) == cap
+        complete = [bound for bound, _, _ in passes[: count - 1]]
+        first = passes[0][0] or 1
+        assert result.lower_bound == (complete[-1] + 1 if complete else first)
 
 
 @PROPERTY
@@ -254,14 +273,16 @@ def test_explore_never_stores_more_than_max_states(mset, cap):
 def test_explore_finds_every_exponent_one_unbounded_pass_finds_under_the_cap(mset, slack):
     # One unbounded pass stores the oracle's levels up to the one that holds
     # the all-ones matrix (and nothing else), so a cap of that many products
-    # is the least under which it finds the exponent.  The passes may store
-    # more in all (on cpr they do), and then fall back to that pass.
+    # is the least under which it finds the exponent.  Each pass stores a
+    # part of those levels, so no pass up to the exponent holds more, though
+    # the passes may store more in all (on cpr they do).
     levels, _ = product_levels(mset)
     ones = ((1 << mset.n) - 1,) * mset.n
     found = ones in levels[-1]
     cap = max(1, sum(map(len, levels)) + slack)
-    result = explore(mset, max_states=cap)
-    assert result.explored <= cap
+    with recorded_searches() as searches:
+        result = explore(mset, max_states=cap)
+    assert all(len(search.keys) <= cap for search in searches)
     if found and slack >= 0:
         assert result.exponent is not None
     if result.exponent is not None:
@@ -308,15 +329,26 @@ def assert_antichains(levels):
 
 def assert_passes_match_the_oracle(mset, searches, result, max_depth, primitive=None):
     """Each recorded pass of ``explore`` stores the oracle's levels under
-    its bound, in the oracle's order of passes, and the result sums them."""
+    its bound, in the oracle's order of passes, and the result sums them.
+    A pass with bound U stores the unbounded oracle's level-d products P
+    with d + h(P) <= U, the property under which no exponent is lost to
+    the state cap."""
     passes = product_passes(mset, max_depth, primitive)
     assert [(search.max_depth, search.distance is not None) for search in searches] == [
         (bound or max_depth, bound is not None) for bound, _, _ in passes
     ]
-    for search, (_, oracle, _) in zip(searches, passes):
+    unbounded, _ = product_levels(mset, depth=max_depth)
+    h = product_distance(mset)
+    for search, (bound, oracle, _) in zip(searches, passes):
         levels = stored_levels(search)
         assert_antichains(levels)
         assert levels == oracle
+        if bound is not None:
+            within = [
+                {rows for rows in level if d + h(rows) <= bound}
+                for d, level in enumerate(unbounded, 1)
+            ]
+            assert levels == within[: len(levels)] and not any(within[len(levels):])
     assert result.explored == sum(len(search.keys) for search in searches)
     assert result.pruned == sum(met for _, _, met in passes) - result.explored
     assert result.depth_reached == (len(passes[-1][1]) if passes else 0)

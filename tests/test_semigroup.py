@@ -177,19 +177,22 @@ class TestExplore:
         assert witness_replay(kari_set(), result.exponent.word) == BoolMatrix.ones(6)
 
     def test_kari_lower_bound_under_a_state_cap(self):
-        # The oracle's passes from L, each stored in full until one would
-        # pass the cap: the last one stored in full proves exponent > U.
+        # The oracle's passes from L, each stored in full until one holds
+        # the cap, which cuts it: the last one stored in full proves
+        # exponent > U, so the cut pass's U is the lower bound.
         kari, cap = kari_set(), 2000
         bound = max(subset_distance(kari, 1 << i) for i in range(kari.n))
-        stored = 0
+        complete = 0
         while True:
             levels, _ = product_levels(kari, depth=bound, bound=bound)
-            stored += sum(map(len, levels))
+            stored = sum(map(len, levels))
             if stored >= cap:
                 break
+            complete += stored
             bound += 1
         result = explore(kari, max_states=cap)
-        assert (result.limit, result.explored, result.exponent) == ("states", cap, None)
+        assert (result.limit, result.exponent) == ("states", None)
+        assert result.explored == complete + cap
         assert result.lower_bound == bound <= 28
 
     def test_builtin_exponents_match_the_unpruned_oracle_under_every_depth(self):
