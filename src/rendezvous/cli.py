@@ -29,19 +29,29 @@ from .pairgraph import check_primitivity
 from .semigroup import explore
 from .setfile import parse_set_file
 
-# The flags each figure reads; giving it any other flag is a domain error.
-FIGURE_FLAGS = {
-    "fig2a": ("max_depth", "max_states"),
-    "fig2b": ("max_depth", "max_states"),
-    "fig3": ("file", "mode"),
-    "fig4": ("file", "mode", "k"),
-    "fig5": ("builtin", "file", "max_depth", "max_states"),
-    "fig6": ("file", "mode"),
-    "fig7": ("k", "n_max"),
-    "fig8": ("k_max", "n_max"),
-    "fig9": ("n_max",),
+# The flags each figure and each automata action reads; giving one any other
+# flag is a domain error.
+FLAGS_READ = {
+    "figure": {
+        "fig2a": ("max_depth", "max_states"),
+        "fig2b": ("max_depth", "max_states"),
+        "fig3": ("file", "mode"),
+        "fig4": ("file", "mode", "k"),
+        "fig5": ("builtin", "file", "max_depth", "max_states"),
+        "fig6": ("file", "mode"),
+        "fig7": ("k", "n_max"),
+        "fig8": ("k_max", "n_max"),
+        "fig9": ("n_max",),
+    },
+    "automata": {
+        "construct": ("builtin", "file", "letter_cap"),
+        "rt": ("builtin", "file", "letter_cap", "max_depth", "max_states"),
+        "krt": ("builtin", "file", "letter_cap", "max_depth", "max_states"),
+        "sandwich": ("builtin", "file", "letter_cap", "max_depth", "max_states"),
+        "krt-equality": ("builtin", "file", "k", "letter_cap", "max_depth", "max_states"),
+    },
 }
-FIGURES = tuple(FIGURE_FLAGS)
+FIGURES = tuple(FLAGS_READ["figure"])
 
 
 def _add_set_source(parser: argparse.ArgumentParser) -> None:
@@ -87,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("automata", help="associated automata analyses")
     p.add_argument(
         "action",
-        choices=("construct", "rt", "krt", "sandwich", "krt-equality"),
+        choices=tuple(FLAGS_READ["automata"]),
     )
     _add_set_source(p)
     _add_limits(p)
@@ -147,6 +157,32 @@ def _flag(args, name: str, default: int | None = None, minimum: int = 1) -> int 
     if value < minimum:
         raise ValueError(f"need --{name.replace('_', '-')} >= {minimum}, got {value}")
     return value
+
+
+def _refuse_unread(args, name: str) -> None:
+    """A domain error for the first given flag that ``args.command name`` does not read."""
+    reads = ("command", "name", "action", *FLAGS_READ[args.command][name])
+    for flag, value in vars(args).items():
+        if value is not None and flag not in reads:
+            raise ValueError(
+                f"{args.command} {name} does not read --{flag.replace('_', '-')}"
+            )
+
+
+def _k_values(args, bound: str) -> tuple[int, list[int]]:
+    """The value of ``--BOUND`` (at least 2) and the k values that ``--k`` or
+    ``--k-max`` ask for, each in [2, that value]; with neither, 2 up to it."""
+    if args.k is not None and args.k_max is not None:
+        raise ValueError("give either --k or --k-max, not both")
+    top = _flag(args, bound, minimum=2)
+    if args.k is not None:
+        if not 2 <= args.k <= top:
+            raise ValueError(f"--k must be in [2, {top}], got {args.k}")
+        return top, [args.k]
+    k_max = _flag(args, "k_max", top, 2)
+    if k_max > top:
+        raise ValueError(f"--k-max must be in [2, {top}], got {k_max}")
+    return top, list(range(2, k_max + 1))
 
 
 def _word_labels(mset_or_labels, word) -> str:
@@ -223,6 +259,7 @@ def _print_automaton(title: str, aut) -> None:
 
 
 def _cmd_automata(args) -> int:
+    _refuse_unread(args, args.action)
     mset = _load_set(args)
     cap = args.letter_cap
     if args.action == "construct":
@@ -267,13 +304,7 @@ def _cmd_automata(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.k is not None and args.k_max is not None:
-        raise ValueError("give either --k or --k-max, not both")
-    n = _flag(args, "n", minimum=2)
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        ks = list(range(2, _flag(args, "k_max", n, 2) + 1))
+    n, ks = _k_values(args, "n")
     print(
         tables.to_csv(tables.LONG_HEADER, tables.bounds_rows(n, ks, args.ceil_variant)),
         end="",
@@ -314,18 +345,7 @@ def _cmd_heuristic(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.k is not None and args.k_max is not None:
-        raise ValueError("give either --k or --k-max, not both")
-    n_max = _flag(args, "n_max", minimum=2)
-    if args.k is not None:
-        if not 2 <= args.k <= n_max:
-            raise ValueError(f"--k must be in [2, {n_max}], got {args.k}")
-        ks = [args.k]
-    else:
-        k_max = _flag(args, "k_max", n_max, 2)
-        if k_max > n_max:
-            raise ValueError(f"--k-max must be in [2, {n_max}], got {k_max}")
-        ks = list(range(2, k_max + 1))
+    n_max, ks = _k_values(args, "n_max")
     rows = tables.scan_rows(range(2, n_max + 1), ks)
     print(tables.to_csv(tables.LONG_HEADER, rows), end="")
     return 0
@@ -333,9 +353,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_figure(args) -> int:
     name = args.name
-    for flag, value in vars(args).items():
-        if value is not None and flag not in ("command", "name", *FIGURE_FLAGS[name]):
-            raise ValueError(f"figure {name} does not read --{flag.replace('_', '-')}")
+    _refuse_unread(args, name)
     mode = args.mode or "specific"
     header = tables.LONG_HEADER
     if name == "fig2a":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import random
+import unicodedata
 from collections import deque
 from contextlib import contextmanager
 from fractions import Fraction
@@ -74,6 +75,12 @@ def random_automaton(rng: random.Random, n: int, m: int) -> Automaton:
 def letter_set(aut: Automaton) -> MatrixSet:
     """An automaton's letters as a matrix set, for replaying its words."""
     return MatrixSet(aut.n, aut.letters, aut.labels)
+
+
+def digit_row_mask(row: str) -> int:
+    """A set-file row read character by character: bit j is set when
+    character j is a digit of nonzero value, in whatever script."""
+    return sum(1 << j for j, ch in enumerate(row) if unicodedata.digit(ch))
 
 
 def naive_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -12,8 +12,8 @@ import pytest
 
 from rendezvous import (
     BoolMatrix, MatrixSet, associated_automaton, cpr_set, default_max_depth, example_set,
-    explore, kari_set, parse_set_file, semigroup, serialize_set, set_profile, subset_bfs,
-    witness_replay,
+    explore, kari_set, parse_set_file, parse_set_text, semigroup, serialize_set, set_profile,
+    subset_bfs, witness_replay,
 )
 from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
 from rendezvous.cli import _cmd_witness, build_parser, main
@@ -282,6 +282,20 @@ class TestBoundsCommand:
             assert out == ""
             assert err == f"domain: need --k-max >= 2, got {k_max}\n"
 
+    @pytest.mark.parametrize("command, top", [("bounds", "--n"), ("scan", "--n-max")])
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (("--k", "9"), "domain: --k must be in [2, 5], got 9\n"),
+            (("--k", "1"), "domain: --k must be in [2, 5], got 1\n"),
+            (("--k-max", "9"), "domain: --k-max must be in [2, 5], got 9\n"),
+            (("--k", "3", "--k-max", "4"), "domain: give either --k or --k-max, not both\n"),
+        ],
+    )
+    def test_k_flags_checked_like_scan(self, capsys, command, top, flags, err):
+        # One check serves both commands, so each names the flag out of range.
+        assert run(capsys, command, top, "5", *flags) == (1, "", err)
+
 
 class TestFigures:
     def test_fig2a_deterministic(self, capsys):
@@ -479,6 +493,15 @@ LOWER = str(DATA / "lower.set")
         (("automata", "krt", "--file", SWAP), 1, "",
          "not-primitive: automaton rt_2 not reached: the search exhausted, "
          "so the set is not primitive\n"),
+        # An automata action fails on a flag it does not read, as a figure does.
+        (("automata", "rt", "--builtin", "cpr", "--k", "3"), 1, "",
+         "domain: automata rt does not read --k\n"),
+        (("automata", "sandwich", "--builtin", "cpr", "--k", "3"), 1, "",
+         "domain: automata sandwich does not read --k\n"),
+        (("automata", "construct", "--builtin", "cpr", "--max-depth", "3"), 1, "",
+         "domain: automata construct does not read --max-depth\n"),
+        (("automata", "construct", "--builtin", "cpr", "--max-states", "3"), 1, "",
+         "domain: automata construct does not read --max-states\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
@@ -670,6 +693,13 @@ def test_readme_quick_tour_runs_as_written(capsys):
     block = tour.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert run(capsys, "exponent", "--builtin", "example") == (0, "7\n", "")
+
+
+def test_readme_set_file_example_is_cpr():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Matrix set file format", 1)[1]
+    example = section.split("```\n", 1)[1].split("```", 1)[0]
+    assert parse_set_text(example) == cpr_set()
 
 
 def test_every_benchmark_layer_resolves():

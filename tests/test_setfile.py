@@ -1,7 +1,9 @@
 import random
+import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rendezvous import (
     BoolMatrix,
@@ -12,6 +14,9 @@ from rendezvous import (
     parse_set_text,
     serialize_set,
 )
+from rendezvous.cli import main
+
+from helpers import digit_row_mask
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,3 +167,59 @@ class TestParsing:
     def test_missing_file(self):
         with pytest.raises(SetFileError):
             parse_set_file(DATA / "does-not-exist.set")
+
+
+class TestDigitRule:
+    @pytest.mark.parametrize("row", ["1\u0660", "\uff101", "\u20701"])
+    def test_zero_in_any_script_reads_as_zero(self, row):
+        # ARABIC-INDIC DIGIT ZERO, FULLWIDTH DIGIT ZERO, SUPERSCRIPT ZERO.
+        mset = parse_set_text(f"2 1\n\n{row}\n11\n")
+        assert mset.generators[0].rows == (digit_row_mask(row), 0b11)
+        assert digit_row_mask(row) in (0b01, 0b10)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        text = (DATA / "cpr.set").read_text(encoding="utf-8")
+        path = tmp_path / "bom.set"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert parse_set_file(path) == parse_set_text(text) == builtin_set("cpr")
+        assert parse_set_text("\ufeff" + text) == builtin_set("cpr")
+
+    @pytest.mark.parametrize("header", ["1_0 1", "+2 1", "-2 1", "\u00b2 1"])
+    def test_header_fields_are_digits_only(self, header):
+        with pytest.raises(SetFileError) as err:
+            parse_set_text(f"{header}\n\n10\n01\n")
+        assert str(err.value) == "line 1: header must be two integers: n m"
+
+    def test_header_reads_digits_of_any_script_by_value(self):
+        mset = parse_set_text("\u0662 \uff11\n\n10\n01\n")
+        assert (mset.n, mset.m) == (2, 1)
+
+    def test_file_that_is_not_utf8_fails_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.set"
+        path.write_bytes(b"2 1\n\n# caf\xe9\n10\n01\n")
+        assert main(["check", "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"set-file: cannot read {path}: ")
+        assert captured.err.count("\n") == 1
+
+
+# Every character with a digit value: the decimal digits of each script and
+# the other digits (superscripts, circled digits and the like).
+DIGIT_CHARACTERS = st.characters(categories=("Nd", "No")).filter(
+    lambda ch: unicodedata.digit(ch, None) is not None
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.text(DIGIT_CHARACTERS, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_digit_rows_parse_to_their_nonzero_values(rows):
+    n = len(rows)
+    mset = parse_set_text(f"{n} 1\n\n" + "\n".join(rows) + "\n")
+    assert mset.generators[0] == BoolMatrix(n, tuple(map(digit_row_mask, rows)))
