@@ -10,19 +10,29 @@ meets S, is the ``row_image`` of S's mask under a's transpose, and column
 j of A_{w1}...A_{wd} is pre_{w1}(...pre_{wd}({j})).  So the first level of
 preimages of singletons holding a subset of size k is the length of the
 shortest product with a weight-k column; on an automaton's letters, of the
-shortest word mapping k states onto one.  ``set_profile`` runs the search
-on a set's generators and on their transposes and takes the minimum: the
-paper's rt_k(M) = min(rt_k(Aut M), rt_k(Aut M^T)), without building Aut.
-The search is ``semigroup.LevelSearch`` with subsets as keys, each viewed
-as the bytes of its mask; each level keeps only its maximal new subsets,
-which is exact since S within T implies pre_a(S) within pre_a(T).
+shortest word mapping k states onto one.  The search is
+``semigroup.LevelSearch`` with subsets as keys, each viewed as the bytes of
+its mask; each level keeps only its maximal new subsets, which is exact
+since S within T implies pre_a(S) within pre_a(T).
+
+``side_searches`` runs it on a set's generators and on their transposes,
+and every rt_k and reset threshold of the set and of its two automata comes
+from there, without building an automaton.  For a letter f below a
+generator g, pre_f(S) lies within pre_g(S), and some such f attains
+pre_g(S); so under per-level domination the generators reach every subset
+size, and the full set, at the same length as Aut's letters.
+``set_profile`` takes the minimum of the two sides: the paper's
+rt_k(M) = min(rt_k(Aut M), rt_k(Aut M^T)).  ``spell_reset`` writes a reset
+word over the generators in Aut's letters, labelled by ``letter_label``.
+``associated_automaton`` builds the letters themselves, under a cap on
+their raw count, for printing them and for checking that theorem against
+them (``verify_krt_equality``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .boolmat import BoolMatrix, MatrixSet, bits, row_image
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
@@ -84,17 +94,34 @@ def associated_automaton(mset: MatrixSet, cap: int = DEFAULT_LETTER_CAP) -> Auto
         raise LetterCapError(raw, cap)
     letters: list[BoolMatrix] = []
     labels: list[str] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for g_label, g in zip(mset.labels, mset.generators):
+    seen: set[tuple[int, ...]] = set()
+    for g in mset.generators:
         choices = [tuple(1 << j for j in bits(row)) for row in g.rows]
-        single = all(len(c) == 1 for c in choices)
-        for pick_idx, pick in enumerate(itertools.product(*choices)):
+        for pick in itertools.product(*choices):
             if pick in seen:
                 continue
-            seen[pick] = len(letters)
+            seen.add(pick)
             letters.append(BoolMatrix(mset.n, pick))
-            labels.append(g_label if single else f"{g_label}{pick_idx + 1}")
+            labels.append(letter_label(mset, pick))
     return Automaton(mset.n, tuple(letters), tuple(labels))
+
+
+def letter_label(mset: MatrixSet, pick: tuple[int, ...]) -> str:
+    """Label of the letter of Aut(mset) whose row i is ``pick[i]``: the label
+    of the first generator whose rows contain the letter's, followed by the
+    letter's 1-based index among that generator's per-row choices in
+    ``itertools.product`` order, unless every row of it has weight 1."""
+    g_label, g = next(
+        (g_label, g)
+        for g_label, g in zip(mset.labels, mset.generators)
+        if all(p & ~row == 0 for p, row in zip(pick, g.rows))
+    )
+    index, count = 0, 1
+    for p, row in zip(pick, g.rows):
+        weight = row.bit_count()
+        index = index * weight + (row & (p - 1)).bit_count()
+        count *= weight
+    return g_label if count == 1 else f"{g_label}{index + 1}"
 
 
 @dataclass
@@ -150,23 +177,57 @@ def subset_bfs(
     return result
 
 
+def side_searches(
+    mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
+) -> tuple[SubsetBfsResult, SubsetBfsResult]:
+    """``subset_bfs`` on the generators of the NZ set M and on those of M^T,
+    under the same limits: the column and row sides of M's products, and
+    the rt_k and reset searches of Aut(M) and Aut(M^T).  Each side's words
+    are over its own generators, in application order."""
+    mset.require_nz()
+    return tuple(
+        subset_bfs(mset.n, source.generators, max_depth, max_states)
+        for source in (mset, mset.transposed())
+    )
+
+
+def spell_reset(mset: MatrixSet, word: tuple[int, ...]) -> tuple[str, ...]:
+    """A reset ``word`` over the generators of ``mset``, as the labels of
+    letters of Aut(mset).  S_t is the preimage under the rest of the word
+    of the lowest state whose preimage under all of it is every state; the
+    t-th letter sends state i to the lowest state of row i of the t-th
+    generator within S_{t+1}, or of the whole row when they do not meet,
+    so the letters map S_t into S_{t+1}, and every state to one."""
+    n, full = mset.n, (1 << mset.n) - 1
+    columns = [g.transpose().rows for g in mset.generators]
+
+    def chain(state: int) -> list[int]:
+        subsets = [1 << state]
+        for a in reversed(word):
+            subsets.append(row_image(columns[a], subsets[-1]))
+        return subsets[::-1]
+
+    subsets = next(c for c in map(chain, range(n)) if c[0] == full)
+    labels = []
+    for a, target in zip(word, subsets[1:]):
+        choices = [row & target or row for row in mset.generators[a].rows]
+        labels.append(letter_label(mset, tuple(c & -c for c in choices)))
+    return tuple(labels)
+
+
 def set_profile(
     mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
 ) -> ProfileResult:
     """Exact rt_k of a matrix set for each k it reaches: the min of the
-    column side (``subset_bfs`` on the generators) and the row side (on
-    their transposes, whose words read root first are in product order).
+    column side and the row side of ``side_searches`` (the row side's words
+    read root first are in product order).
 
     Both sides run under the same limits, ``LevelSearch``'s; the record
     sums ``explored`` and ``pruned`` and keeps the deeper ``depth_reached``
     and a side's ``limit``.  A side cut short at depth D without k has no k
     below D only, so a longer length is left out, with every larger k.
     """
-    mset.require_nz()
-    sides = [
-        subset_bfs(mset.n, source.generators, max_depth, max_states)
-        for source in (mset, mset.transposed())
-    ]
+    sides = side_searches(mset, max_depth, max_states)
     result = ProfileResult(
         n=mset.n,
         explored=sum(side.explored for side in sides),
@@ -185,16 +246,6 @@ def set_profile(
         word = sides[s].krt[k].word
         result.krt[k] = Reach(length, word[::-1] if s else word)
     return result
-
-
-def automata_searches(
-    mset: MatrixSet, cap: int, max_depth: int | None, max_states: int | None
-) -> Iterator[tuple[Automaton, SubsetBfsResult]]:
-    """Aut(M) and then Aut(M^T), each with its subset search under the same
-    limits; Aut(M^T) is built only after Aut(M) is searched."""
-    for source in (mset, mset.transposed()):
-        aut = associated_automaton(source, cap)
-        yield aut, subset_bfs(aut.n, aut.letters, max_depth, max_states)
 
 
 def reached_length(result: LevelResult, entry: Reach | None, what: str) -> int:
@@ -232,12 +283,10 @@ class SandwichReport:
 
 
 def verify_sandwich(
-    mset: MatrixSet,
-    cap: int = DEFAULT_LETTER_CAP,
-    max_depth: int | None = None,
-    max_states: int | None = None,
+    mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
 ) -> SandwichReport:
-    """Check rt(Aut) <= exponent <= rt(Aut) + rt(Aut^T) + n - 1 on a primitive set.
+    """Check rt(Aut) <= exponent <= rt(Aut) + rt(Aut^T) + n - 1 on a primitive
+    set, with the reset thresholds from ``side_searches``.
 
     Needs n >= 2: at n = 1 the empty word resets both automata, so the upper
     end is 0 while every product, the exponent included, has length >= 1.
@@ -247,7 +296,7 @@ def verify_sandwich(
     require_primitive(mset)
     rt, rt_t = (
         reached_length(res, res.reset, "automaton reset threshold")
-        for _, res in automata_searches(mset, cap, max_depth, max_states)
+        for res in side_searches(mset, max_depth, max_states)
     )
     res = explore(mset, max_depth, max_states)
     exp = reached_length(res, res.exponent, "exponent")
@@ -284,14 +333,15 @@ def verify_krt_equality(
     max_depth: int | None = None,
     max_states: int | None = None,
 ) -> KrtEqualityReport:
-    """Compare the set's exact k-RT with min over the two associated automata."""
+    """Compare the set's exact k-RT with min over the two associated automata,
+    each searched on its own letters, built under ``cap``."""
     if not 2 <= k <= mset.n:
         raise ValueError(f"k must be in [2, {mset.n}], got {k}")
     require_primitive(mset)
     res = set_profile(mset, max_depth, max_states)
     rt_set = reached_length(res, res.krt.get(k), f"rt_{k}")
-    rt_a, rt_at = (
-        reached_length(res, res.krt.get(k), f"automaton rt_{k}")
-        for _, res in automata_searches(mset, cap, max_depth, max_states)
-    )
-    return KrtEqualityReport(k=k, rt_set=rt_set, rt_aut=rt_a, rt_aut_transpose=rt_at)
+    rt_aut = []
+    for source in (mset, mset.transposed()):
+        res = subset_bfs(mset.n, associated_automaton(source, cap).letters, max_depth, max_states)
+        rt_aut.append(reached_length(res, res.krt.get(k), f"automaton rt_{k}"))
+    return KrtEqualityReport(k=k, rt_set=rt_set, rt_aut=rt_aut[0], rt_aut_transpose=rt_aut[1])

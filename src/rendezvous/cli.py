@@ -15,8 +15,9 @@ from . import tables
 from .automata import (
     DEFAULT_LETTER_CAP,
     associated_automaton,
-    automata_searches,
     set_profile,
+    side_searches,
+    spell_reset,
     verify_krt_equality,
     verify_sandwich,
 )
@@ -45,9 +46,9 @@ FLAGS_READ = {
     },
     "automata": {
         "construct": ("builtin", "file", "letter_cap"),
-        "rt": ("builtin", "file", "letter_cap", "max_depth", "max_states"),
-        "krt": ("builtin", "file", "letter_cap", "max_depth", "max_states"),
-        "sandwich": ("builtin", "file", "letter_cap", "max_depth", "max_states"),
+        "rt": ("builtin", "file", "max_depth", "max_states"),
+        "krt": ("builtin", "file", "max_depth", "max_states"),
+        "sandwich": ("builtin", "file", "max_depth", "max_states"),
         "krt-equality": ("builtin", "file", "k", "letter_cap", "max_depth", "max_states"),
     },
 }
@@ -101,7 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_set_source(p)
     _add_limits(p)
-    p.add_argument("--letter-cap", type=int, default=DEFAULT_LETTER_CAP)
+    p.add_argument(
+        "--letter-cap",
+        type=int,
+        default=None,
+        help=f"most raw letters construct and krt-equality build (default {DEFAULT_LETTER_CAP})",
+    )
     p.add_argument("--k", type=int, default=None, help="k for krt-equality")
 
     p = sub.add_parser("bounds", help="B/F/lift/escape/szykula bound table (CSV)")
@@ -185,9 +191,9 @@ def _k_values(args, bound: str) -> tuple[int, list[int]]:
     return top, list(range(2, k_max + 1))
 
 
-def _word_labels(mset_or_labels, word) -> str:
-    labels = getattr(mset_or_labels, "labels", mset_or_labels)
-    return ",".join(labels[i] for i in word) if word else "-"
+def _word_labels(labels) -> str:
+    """A word as its letters' labels joined by commas; the empty word is "-"."""
+    return ",".join(labels) or "-"
 
 
 def _bool(flag: bool) -> str:
@@ -219,12 +225,12 @@ def _not_found(result) -> str:
     return f"not-found ({reason}; explored={result.explored}, depth={result.depth_reached})"
 
 
-def _reach(source, result, entry) -> str:
-    """A found entry's length and word over the labels of ``source`` (a set
-    or an automaton), or why ``result`` lacks it."""
+def _reach(mset, result, entry) -> str:
+    """A found entry's length and word over the generators of ``mset``, or
+    why ``result`` lacks it."""
     if entry is None:
         return _not_found(result)
-    return f"{entry.length} word={_word_labels(source, entry.word)}"
+    return f"{entry.length} word={_word_labels(mset.labels[i] for i in entry.word)}"
 
 
 def _cmd_exponent(args) -> int:
@@ -261,27 +267,28 @@ def _print_automaton(title: str, aut) -> None:
 def _cmd_automata(args) -> int:
     _refuse_unread(args, args.action)
     mset = _load_set(args)
-    cap = args.letter_cap
+    cap = _flag(args, "letter_cap", DEFAULT_LETTER_CAP)
     if args.action == "construct":
         _print_automaton("aut", associated_automaton(mset, cap))
         _print_automaton("aut_T", associated_automaton(mset.transposed(), cap))
         return 0
     if args.action == "rt":
-        searches = automata_searches(mset, cap, args.max_depth, args.max_states)
-        for title, (aut, res) in zip(("aut", "aut_T"), searches):
+        searches = side_searches(mset, args.max_depth, args.max_states)
+        for title, source, res in zip(("aut", "aut_T"), (mset, mset.transposed()), searches):
             if res.reset is None and res.exhausted:
                 print(f"{title}: not-synchronizing")
+            elif res.reset is None:
+                print(f"{title}: rt={_not_found(res)}")
             else:
-                print(f"{title}: rt={_reach(aut, res, res.reset)}")
+                word = _word_labels(spell_reset(source, res.reset.word))
+                print(f"{title}: rt={res.reset.length} word={word}")
         return 0
     if args.action == "krt":
-        rows = tables.automata_krt_rows(mset, cap, args.max_depth, args.max_states)
+        rows = tables.automata_krt_rows(mset, args.max_depth, args.max_states)
         print(tables.to_csv(tables.LONG_HEADER, rows), end="")
         return 0
     if args.action == "sandwich":
-        report = verify_sandwich(
-            mset, cap=cap, max_depth=args.max_depth, max_states=args.max_states
-        )
+        report = verify_sandwich(mset, args.max_depth, args.max_states)
         print(f"rt_aut={report.rt_aut}")
         print(f"exponent={report.exponent}")
         print(f"rt_aut_T={report.rt_aut_transpose}")
@@ -338,7 +345,7 @@ def _cmd_heuristic(args) -> int:
     print(f"mode={trace.mode}")
     print(f"column={trace.column_index}")
     print(f"length={trace.length}")
-    print(f"word={_word_labels(mset, trace.word)}")
+    print(f"word={_word_labels(mset.labels[i] for i in trace.word)}")
     for k in range(2, mset.n + 1):
         print(f"k={k} length={trace.per_k_length[k]}")
     return 0

@@ -22,8 +22,10 @@ A child row is the ``row_image`` of the parent row under the generator,
 memoized per generator.  A distance table over row sets bounds how far
 each product still is from the all-ones matrix, and the search runs in
 passes with a rising bound on the length (see ``explore``).  On kari the
-passes store 12,304 products in all; one unbounded pass stores 45,223,
-and there are 832,573 distinct products up to the exponent.
+passes store 12,304 products in all, and one unbounded pass stores 45,223.
+Kari's semigroup has 832,573 distinct products of length up to its
+exponent; that is a count of the semigroup, not what any search here
+stores.
 ``note_first_reach`` is the one first-reach recorder, shared by the subset
 search and the heuristic.
 

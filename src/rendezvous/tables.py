@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .automata import automata_searches, reached_length, set_profile
+from .automata import reached_length, set_profile, side_searches
 from .boolmat import MatrixSet
 from .bounds import (
     ScanReport,
@@ -113,12 +113,11 @@ def bounds_rows(n: int, ks: Sequence[int], ceil_variant: bool = False) -> list[s
     return rows
 
 
-def automata_krt_rows(
-    mset: MatrixSet, cap: int, max_depth=None, max_states=None
-) -> list[str]:
-    """Backward-BFS k-RT of both associated automata plus their minimum."""
+def automata_krt_rows(mset: MatrixSet, max_depth=None, max_states=None) -> list[str]:
+    """k-RT of both associated automata, from ``side_searches``, plus their
+    minimum."""
     n = mset.n
-    searches = [res for _, res in automata_searches(mset, cap, max_depth, max_states)]
+    searches = side_searches(mset, max_depth, max_states)
     rows = []
     for k in range(2, n + 1):
         a, b = (reached_length(res, res.krt.get(k), f"automaton rt_{k}") for res in searches)

@@ -3,7 +3,9 @@ matrices, A = B allowed, one pair per class under simultaneous relabelling
 of the states.  Primitivity is checked on every class against the
 semigroup closure, and the exponent, rt_2 and rt_3 on every primitive
 class against a plain breadth-first search over distinct products, with
-the bounds rt_k <= F_k <= B_k; the per-quantity maxima are pinned."""
+the bounds rt_k <= F_k <= B_k; the per-quantity maxima are pinned.  On
+every class, the subset searches on the generators of M and of M^T meet
+the searches on the letters of Aut(M) and Aut(M^T)."""
 
 import functools
 import itertools
@@ -15,12 +17,15 @@ import pytest
 from rendezvous import (
     BoolMatrix,
     MatrixSet,
+    associated_automaton,
     bound_b_recursive,
     bound_f,
     check_primitivity,
     explore,
     set_profile,
+    subset_bfs,
 )
+from rendezvous.automata import side_searches
 from helpers import brute_force_primitive, distinct_product_profile
 
 N = 3
@@ -92,3 +97,16 @@ def test_exact_quantities_match_a_plain_search_and_the_bounds(census, primitive)
         maxima["exponent"] = max(maxima["exponent"], exponent)
     assert maxima == {"exponent": 9, 2: 1, 3: 4}
     assert f[3] == 4 and b[3] == Fraction(11, 2)
+
+
+def test_generator_searches_match_the_automaton_searches(census):
+    # automata rt, krt and sandwich search the generators: a letter f below
+    # a generator g has pre_f(S) within pre_g(S), and some f attains it.
+    def outcome(result):
+        reset = result.reset and result.reset.length
+        return reset, {k: reach.length for k, reach in result.krt.items()}, result.exhausted
+
+    for mset in census[1]:
+        for source, side in zip((mset, mset.transposed()), side_searches(mset)):
+            letters = associated_automaton(source).letters
+            assert outcome(side) == outcome(subset_bfs(N, letters)), (mset, source)

@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import io
+import itertools
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -16,8 +18,8 @@ from rendezvous import (
     subset_bfs, witness_replay,
 )
 from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
-from rendezvous.cli import _cmd_witness, build_parser, main
-from helpers import product_levels, product_passes, shift_plus_one, subset_levels
+from rendezvous.cli import FLAGS_READ, _cmd_witness, build_parser, main
+from helpers import letter_set, product_levels, product_passes, shift_plus_one, subset_levels
 
 DATA = Path(__file__).parent / "data"
 
@@ -412,6 +414,26 @@ SPARSE08 = str(DATA / "sparse08.set")
 SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets it
 # Reducible, yet every pair reaches (0, 0), the heuristic's seed singleton.
 LOWER = str(DATA / "lower.set")
+# One generator a = I + P at n = 13, P the cyclic shift: rows of weight 2, so
+# 2^13 = 8,192 raw letters on each side, and rt_k = k - 1 for every k.
+HEAVY = str(DATA / "heavy13.set")
+HEAVY_KRT = "n,k,quantity,value,ceil\n" + "".join(
+    f"13,{k},{quantity},{k - 1},{k - 1}\n"
+    for k in range(2, 14)
+    for quantity in ("rt_aut", "rt_aut_T", "rt_min")
+)
+
+
+def shift_automaton_text(title: str, label: str, step: int, n: int = 13) -> str:
+    """What construct prints for one side of HEAVY: its generator's row i is
+    {i, i + step mod n}, so each pick of one state per row, in
+    itertools.product order, is a letter of its own, labelled by its index."""
+    lines = [f"{title}: {2**n} letters"]
+    rows = [sorted({i, (i + step) % n}) for i in range(n)]
+    for index, pick in enumerate(itertools.product(*rows)):
+        lines.append(f"# {label}{index + 1}")
+        lines.extend("".join("1" if j == state else "0" for j in range(n)) for state in pick)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -502,6 +524,25 @@ LOWER = str(DATA / "lower.set")
          "domain: automata construct does not read --max-depth\n"),
         (("automata", "construct", "--builtin", "cpr", "--max-states", "3"), 1, "",
          "domain: automata construct does not read --max-states\n"),
+        # rt, krt and sandwich search the generators, so a set whose
+        # automaton has more raw letters than the letter cap (13 rows of
+        # weight 2: 8,192) still answers; they read no --letter-cap.
+        (("automata", "rt", "--file", HEAVY), 0,
+         "aut: rt=12 word=a2049,a1025,a513,a257,a129,a65,a33,a17,a9,a5,a3,a1\n"
+         "aut_T: rt=12 word=a'1,a'1,a'1,a'1,a'1,a'1,a'1,a'1,a'1,a'1,a'1,a'1\n", ""),
+        (("automata", "krt", "--file", HEAVY), 0, HEAVY_KRT, ""),
+        (("automata", "sandwich", "--file", HEAVY), 0,
+         "rt_aut=12\nexponent=12\nrt_aut_T=12\nupper=36\nlower_ok=true\nupper_ok=true\n"
+         "tight=false\n", ""),
+        (("automata", "construct", "--file", HEAVY), 1, "",
+         "letter-cap: associated automaton would have 8192 letters, cap is 4096\n"),
+        pytest.param(
+            ("automata", "construct", "--file", HEAVY, "--letter-cap", "8192"), 0,
+            shift_automaton_text("aut", "a", 1) + shift_automaton_text("aut_T", "a'", -1), "",
+            id="construct-heavy13-letter-cap-8192",
+        ),
+        (("automata", "rt", "--builtin", "cpr", "--letter-cap", "5"), 1, "",
+         "domain: automata rt does not read --letter-cap\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
@@ -511,15 +552,19 @@ def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out,
 @pytest.mark.parametrize(
     "mset, transposed, depth, explored",
     [
+        # automata rt and krt search the generators of the set and of its
+        # transpose.
         (cpr_set(), False, 3, 9),  # automata rt --builtin cpr --max-depth 3
         (cpr_set(), True, 3, 7),
         (cpr_set(), False, 1, 5),  # automata krt --builtin cpr --max-depth 1
-        (kari_set(), False, 3, 11),  # automata krt-equality --builtin kari --k 3 --max-depth 3
+        # krt-equality searches the letters of the automaton it builds.
+        (letter_set(associated_automaton(kari_set())), False, 3, 11),
+        # automata krt-equality --builtin kari --k 3 --max-depth 3
     ],
 )
 def test_depth_limited_explored_counts_follow_the_oracle(mset, transposed, depth, explored):
-    aut = associated_automaton(mset.transposed() if transposed else mset)
-    levels, _ = subset_levels(aut.n, aut.letters)
+    source = mset.transposed() if transposed else mset
+    levels, _ = subset_levels(source.n, source.generators)
     assert sum(map(len, levels[: depth + 1])) == explored
 
 
@@ -693,6 +738,25 @@ def test_readme_quick_tour_runs_as_written(capsys):
     block = tour.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert run(capsys, "exponent", "--builtin", "example") == (0, "7\n", "")
+
+
+def test_readme_flag_table_matches_the_flags_read():
+    # Each row names figures or automata actions and the flags they read;
+    # a flag change that leaves README stale fails here.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    head = "| figure or action | flags it reads |\n| --- | --- |\n"
+    rows = []
+    for line in readme.split(head, 1)[1].split("\n\n", 1)[0].splitlines():
+        names, flags = re.split(r"(?<!\\)\|", line)[1:3]
+        names = re.findall(r"`([^`]+)`", names)
+        command = "automata" if names[0].startswith("automata ") else "figure"
+        flags = sorted(flag.replace("-", "_") for flag in re.findall(r"`--([a-z-]+)", flags))
+        rows.extend(((command, name.removeprefix("automata ")), flags) for name in names)
+    assert sorted(rows) == sorted(
+        ((command, name), sorted(flags))
+        for command, table in FLAGS_READ.items()
+        for name, flags in table.items()
+    )
 
 
 def test_readme_set_file_example_is_cpr():

@@ -36,6 +36,7 @@ from rendezvous import (
     kari_set,
     parse_set_file,
     parse_set_text,
+    raw_letter_count,
     run_heuristic,
     serialize_set,
     set_profile,
@@ -520,6 +521,39 @@ def test_sandwich_fields_match_independent_oracles(mset):
     assert report.exponent == exponent
     assert report.lower_ok and report.upper_ok
     assert report.tight == (report.exponent == report.upper)
+
+
+@PROPERTY
+@given(nz_sets(max_n=5))
+@example(example_set())
+@example(cpr_set())
+@example(kari_set())
+def test_automata_rt_words_are_resets_of_the_automaton_by_label(mset):
+    # automata rt searches the generators and spells each reset word in the
+    # letters of the associated automaton, by their labels.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.set"
+        path.write_text(serialize_set(mset))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["automata", "rt", "--file", str(path)]) == 0
+    lines = out.getvalue().splitlines()
+    for title, source, line in zip(("aut", "aut_T"), (mset, mset.transposed()), lines, strict=True):
+        aut = associated_automaton(source, raw_letter_count(source))
+        reset = subset_bfs(aut.n, aut.letters).reset
+        if line == f"{title}: not-synchronizing":
+            assert reset is None
+            continue
+        head, length, word = line.split(" ")
+        letters = dict(zip(aut.labels, aut.letters))
+        word = word.removeprefix("word=")
+        word = [] if word == "-" else [letters[label] for label in word.split(",")]
+        assert head == f"{title}:"
+        assert int(length.removeprefix("rt=")) == len(word) == reset.length
+        states = set(range(mset.n))
+        for letter in word:
+            states = {letter.rows[s].bit_length() - 1 for s in states}
+        assert len(states) == 1
 
 
 @PROPERTY
