@@ -219,15 +219,26 @@ def set_profile(
     mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
 ) -> ProfileResult:
     """Exact rt_k of a matrix set for each k it reaches: the min of the
-    column side and the row side of ``side_searches`` (the row side's words
-    read root first are in product order).
+    column side and the row side, the two searches of ``side_searches``
+    (the row side's words read root first are in product order).
 
-    Both sides run under the same limits, ``LevelSearch``'s; the record
-    sums ``explored`` and ``pruned`` and keeps the deeper ``depth_reached``
-    and a side's ``limit``.  A side cut short at depth D without k has no k
-    below D only, so a longer length is left out, with every larger k.
+    Both sides run under the same limits, ``LevelSearch``'s, except that
+    once the column side resets at length R it holds every k at a length
+    <= R, so the row side runs to depth R at most; that cut is not a limit.
+    The record sums ``explored`` and ``pruned`` and keeps the deeper
+    ``depth_reached`` and a side's ``limit``.  A side cut short at depth D
+    without k has no k below D only, so a longer length is left out, with
+    every larger k.
     """
-    sides = side_searches(mset, max_depth, max_states)
+    mset.require_nz()
+    column = subset_bfs(mset.n, mset.generators, max_depth, max_states)
+    row_depth = max_depth
+    if column.reset is not None and (max_depth is None or column.reset.length < max_depth):
+        row_depth = max(1, column.reset.length)
+    row = subset_bfs(mset.n, mset.transposed().generators, row_depth, max_states)
+    if row_depth != max_depth and row.limit == "depth":
+        row.limit = None
+    sides = (column, row)
     result = ProfileResult(
         n=mset.n,
         explored=sum(side.explored for side in sides),

@@ -1,37 +1,19 @@
-"""Exact breadth-first exploration of the boolean semigroup of a matrix set.
+"""Exact search of the boolean semigroup of a matrix set.
 
-``LevelSearch`` is the one level-order search of the workbench: it owns
-the stored keys, parent pointers and letters, the witness words, the
-dimension, depth and state limits and the exhaustion test.  Both exact
-searches run on it: ``explore`` here, the exponent search with boolean
-products as keys, and ``automata.subset_bfs``, the k-rendezvous and reset
-search with state subsets as keys.
-
-``explore`` enumerates products level by level (level d = products of
-length d), the generators at level 1, until the all-ones matrix appears;
-the empty product is never a key, so the identity is counted only when
-some product equals it.  Identical matrices are deduplicated, and each
-level keeps only its maximal new products, those no other new product of
-the level lies entrywise below: if A <= B then AW <= BW for every word W,
-so a dominated product never reaches the all-ones matrix first (the
-induction is in ``LevelSearch``).  The dominated ones are found with a
-level-local index over the kept products, heaviest first: one bitset per
-bit of each byte-sized digit of the key, and one memoised AND of those
-bitsets per digit value, so a candidate's test is one lookup per digit.
-A child row is the ``row_image`` of the parent row under the generator,
-memoized per generator.  A distance table over row sets bounds how far
-each product still is from the all-ones matrix, and the search runs in
-passes with a rising bound on the length (see ``explore``).  On kari the
-passes store 12,304 products in all, and one unbounded pass stores 45,223.
-Kari's semigroup has 832,573 distinct products of length up to its
-exponent; that is a count of the semigroup, not what any search here
-stores.
+``LevelSearch`` is the one search of the workbench: it owns the stored
+keys, parent pointers and letters, the witness words, the dimension,
+depth and state limits and the exhaustion test.  Both exact searches run
+on it: ``explore`` here, the exponent search with boolean products as
+keys, and ``automata.subset_bfs``, the k-rendezvous and reset search with
+state subsets as keys.  At n <= 13 ``explore`` is a bucketed A* on the
+length plus a distance table over row sets (on kari it stores 7,606
+products; the semigroup has 832,573 of length up to the exponent); the
+other searches are level-order and keep each level's maximal keys, found
+with the byte-digit index ``_maximal``.  A child row is the ``row_image``
+of the parent row under the generator, memoized per generator.
 ``note_first_reach`` is the one first-reach recorder, shared by the subset
-search and the heuristic.
-
-Everything is deterministic given generator order: each level is collected
-in discovery order with children in generator order, and its maximal keys
-are kept in that order, so the stored witness words are reproducible.
+search and the heuristic.  Keys are collected in discovery order with
+children in generator order, so the witness words are reproducible.
 """
 
 from __future__ import annotations
@@ -56,9 +38,9 @@ DEFAULT_MAX_STATES = 10_000_000
 # millions of keys at about 210 B per stored subset.
 EXACT_SEARCH_DIMENSION_CAP = 64
 # The exponent search's distance table has 2^n one-byte entries; past this
-# n the search runs without its bound, in one pass.  Every call builds the
-# table first: at n = 13 that adds about 5 ms to a search the bound does not
-# help, at n = 16 about 60 ms.
+# n the search is level-order with domination, without the bound.  Every
+# call builds the table first: at n = 13 that adds about 5 ms to a search
+# the bound does not help, at n = 16 about 60 ms.
 DISTANCE_TABLE_DIMENSION_CAP = 13
 # A table entry no word reaches; reached distances are clamped below it.
 UNREACHED = 255
@@ -112,10 +94,9 @@ class LevelResult:
 
 @dataclass
 class SearchResult(LevelResult):
-    """``explore``'s result: the counts are summed over its passes, each of
-    which stores at most ``max_states`` keys, and ``lower_bound`` is a
-    length no shorter word reaches the all-ones matrix at (the exponent's
-    length once found)."""
+    """``explore``'s result: the counts of its one search, which stores at
+    most ``max_states`` keys, and ``lower_bound``, a length no shorter word
+    reaches the all-ones matrix at (the exponent's length once found)."""
 
     exponent: Reach | None = None
     lower_bound: int = 1
@@ -183,53 +164,47 @@ def _maximal(
 
 
 class LevelSearch:
-    """Level-order search over hashable keys that stores only the maximal
-    new keys of each level; it runs the semigroup search and the subset
-    search.
+    """The one search over hashable keys, for products and for subsets.
 
     The roots, ``(key, letter)`` pairs with letter -1 for none, form level
     ``depth``; a key at level d has children ``child(key, a)`` at level
-    d + 1 for letters a in 0..m-1.  ``digits(key)`` views a key as a
-    sequence of byte-sized digits (ints below 256), of the same length for
-    every key of the search; key A is dominated by key B when every set bit
-    of A's digits is set in B's.  A product's digits are its bit rows cut
-    into bytes (at n <= 8, its rows themselves), a subset's the bytes of
-    its mask.  A level's candidates are the keys not seen before,
-    collected by expanding the previous level in discovery order and the
-    letters in index order.  With a ``distance``, a lower bound on the
-    letters a key still needs to reach the target, a key of level d is a
-    candidate only if d + distance(key) <= ``max_depth``.  Every candidate
-    joins ``seen``, but only the maximal ones (no other candidate of the
-    level dominates them) are stored, in discovery order; ``result.pruned``
-    counts the rest.  Every stored key is reached by a shortest word,
-    reproducibly.
-
-    Why this is exact for every monotone target (the all-ones matrix, a
-    subset of size k, the full subset): if A <= B entrywise then
-    AW <= BW for every word W.  By induction on d, every key of length d is
-    dominated by some stored key of length <= d: a key of length d + 1 is
-    a child of a key of length d, which lies below a stored key K; the same
-    letter's child of K is a root or a candidate of some level <= d + 1,
-    and every candidate lies below a stored candidate of its level.  So
-    every target is first reached at the same length as without pruning.
-    The top key (the all-ones matrix, the full subset) dominates every
-    other key, so it is always kept.  The induction holds under a
-    ``distance`` that is antimonotone (A <= B gives
-    distance(B) <= distance(A)), so a dominator of a candidate is one too,
-    and consistent (distance(A) <= 1 + distance(child(A, a))), so the
-    parent of a candidate passed the bound at its own level: a target
-    within ``max_depth`` is still first reached at its length.
-
-    Iterating yields each stored node, roots first; the caller breaks to
-    stop.  The search records on ``result`` the nodes stored, the deepest
-    level stored and why it stopped by itself: a level had no candidate
+    d + 1 for letters a in 0..m-1, taken in index order.  Iterating yields
+    each stored node, roots first, reached by a shortest word; the caller
+    breaks to stop.  ``result`` records the nodes stored, the deepest level
+    stored and why the search stopped by itself: no key was left to store
     (``exhausted``), or it would pass ``max_depth`` or has stored
-    ``max_states`` keys (``limit``).
+    ``max_states`` keys (``limit``).  ``bound`` then bounds f from below
+    over the keys not stored: the f being taken at a state cut, the least
+    f past ``max_depth`` at a depth cut, f = d + distance(key) at the
+    key's shortest length d (f = d without a ``distance``).
 
-    Every exact search of the workbench obeys the limits set here, before
-    any key is stored: ``result.n`` at most ``EXACT_SEARCH_DIMENSION_CAP``
-    (else ``DimensionError``), ``max_states`` (the most keys this search
-    stores; a caller that runs several searches sums their counts)
+    Without a ``distance`` the search is level-order.  A level's
+    candidates are the children of the previous level not seen before, in
+    discovery order; all join ``seen``, but only the maximal ones are
+    stored, and ``result.pruned`` counts the rest.  ``digits(key)`` views a
+    key as byte-sized digits, as many for every key (a product's rows cut
+    into bytes, at n <= 8 its rows; a subset's mask bytes); A is dominated
+    by B when every set bit of A's digits is set in B's.  This is exact for
+    every monotone target (the all-ones matrix, a subset of size k, the
+    full subset): A <= B gives AW <= BW for every word W, so by induction on
+    d every key of length d lies below a stored key of length <= d (the
+    same letter's child of the key above its parent is a root or a
+    candidate of a level <= d, and lies below a stored one), and the top
+    key dominates every other one.
+
+    With a ``distance``, consistent (distance(A) <= 1 + distance(child(A,
+    a))), the search is a bucketed A* without domination.  A key met at
+    level d waits in bucket f at level d, deduplicated in insertion order,
+    without joining ``seen``: a later parent may meet it at a shorter
+    level.  Buckets are taken in rising f, each in rising level; a key in
+    ``seen`` is skipped, the others are stored, join ``seen`` and have
+    their children wait.  f never falls along a word, and a prefix of a
+    shortest word is one, so every key of f <= F is stored at its shortest
+    length before bucket F + 1 is taken.
+
+    Every exact search obeys the limits set here before any key is stored:
+    ``result.n`` at most ``EXACT_SEARCH_DIMENSION_CAP`` (else
+    ``DimensionError``), ``max_states`` (the most keys this search stores)
     ``DEFAULT_MAX_STATES`` when None, and ``max_depth`` unbounded when
     None; a given limit must be at least 1.
     """
@@ -264,6 +239,7 @@ class LevelSearch:
         self.parents: list[int] = []
         self.letters: list[int] = []
         self.seen: set[K] = set()
+        self.bound = depth
 
     @staticmethod
     def check_limits(max_depth: int | None, max_states: int | None) -> None:
@@ -280,27 +256,28 @@ class LevelSearch:
             node = self.parents[node]
         return tuple(reversed(out))
 
-    def _fresh(
-        self, candidates: Iterable[tuple[K, int, int]], depth: int
-    ) -> list[tuple[K, int, int]]:
-        """The candidates of level ``depth`` whose key is new and, with a
-        ``distance``, can still reach the target by ``max_depth``, in order;
-        each of them joins ``seen``."""
-        seen, distance = self.seen, self.distance
-        slack = self.max_depth - depth
+    def _fresh(self, candidates: Iterable[tuple[K, int, int]]) -> list[tuple[K, int, int]]:
+        """The candidates whose key is new, in order; each of them joins
+        ``seen``."""
+        seen = self.seen
         out = []
         for cand in candidates:
             key = cand[0]
-            if key not in seen and (distance is None or distance(key) <= slack):
+            if key not in seen:
                 seen.add(key)
                 out.append(cand)
         return out
 
     def __iter__(self) -> Iterator[int]:
+        return self._levels() if self.distance is None else self._buckets()
+
+    def _levels(self) -> Iterator[int]:
         keys, child, result, m = self.keys, self.child, self.result, self.m
+        parents, letters = self.parents, self.letters
         depth = self.depth
-        level = self._fresh(((key, -1, letter) for key, letter in self.roots), depth)
+        level = self._fresh((key, -1, letter) for key, letter in self.roots)
         while True:
+            self.bound = depth
             if not level:
                 result.exhausted = True
                 return
@@ -310,8 +287,8 @@ class LevelSearch:
             for key, parent, letter in survivors:
                 node = len(keys)
                 keys.append(key)
-                self.parents.append(parent)
-                self.letters.append(letter)
+                parents.append(parent)
+                letters.append(letter)
                 result.explored = node + 1
                 result.depth_reached = depth
                 yield node
@@ -320,16 +297,62 @@ class LevelSearch:
                     return
             if depth >= self.max_depth:
                 result.limit = "depth"
+                self.bound = depth + 1
                 return
             depth += 1
             level = self._fresh(
-                (
-                    (child(keys[parent], letter), parent, letter)
-                    for parent in range(start, len(keys))
-                    for letter in range(m)
-                ),
-                depth,
+                (child(keys[parent], letter), parent, letter)
+                for parent in range(start, len(keys))
+                for letter in range(m)
             )
+
+    def _buckets(self) -> Iterator[int]:
+        keys, child, distance, result, m = self.keys, self.child, self.distance, self.result, self.m
+        parents, letters, seen = self.parents, self.letters, self.seen
+        # f -> level d -> key -> (parent, letter), each in insertion order.
+        waiting: dict[int, dict[int, dict[K, tuple[int, int]]]] = {}
+
+        def wait(key: K, parent: int, letter: int, depth: int) -> None:
+            f = depth + distance(key)
+            waiting.setdefault(f, {}).setdefault(depth, {}).setdefault(key, (parent, letter))
+
+        for key, letter in self.roots:
+            wait(key, -1, letter, self.depth)
+        while waiting and min(waiting) <= self.max_depth:
+            self.bound = min(waiting)
+            bucket = waiting[self.bound]
+            while bucket:
+                depth = min(bucket)
+                start = len(keys)
+                for key, (parent, letter) in bucket.pop(depth).items():
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    node = len(keys)
+                    keys.append(key)
+                    parents.append(parent)
+                    letters.append(letter)
+                    result.explored = node + 1
+                    result.depth_reached = max(result.depth_reached, depth)
+                    yield node
+                    if result.explored >= self.max_states:
+                        result.limit = "states"
+                        return
+                for parent in range(start, len(keys)):
+                    for letter in range(m):
+                        key = child(keys[parent], letter)
+                        if key not in seen:
+                            wait(key, parent, letter, depth + 1)
+            del waiting[self.bound]
+        # Every key left waits past max_depth; the least f of one never
+        # stored bounds the target's.
+        cut = [f for f, levels in waiting.items() if any(
+            key not in seen for level in levels.values() for key in level)]
+        if cut:
+            result.limit = "depth"
+            self.bound = min(cut)
+        else:
+            result.exhausted = True
 
 
 def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMatrix:
@@ -384,34 +407,27 @@ def subset_distances(mset: MatrixSet) -> bytearray | None:
 def explore(
     mset: MatrixSet, max_depth: int | None = None, max_states: int | None = None
 ) -> SearchResult:
-    """Level-order search of the generated semigroup for the exponent.
+    """Search of the generated semigroup for the exponent.
 
     Row i of P*W is the forward image of row i of P under W, so a product P
     of length d reaches the all-ones matrix no sooner than d + h(P), with
     h(P) = max_i delta(row i of P) read off ``subset_distances``.  h is
-    antimonotone (P <= Q gives h(Q) <= h(P)) and consistent
-    (h(P) <= 1 + h(P*g)), so a ``LevelSearch`` with this ``distance`` and
-    depth bound U stores exactly the maximal keys of the products within
-    the bound, and finds the all-ones matrix iff the exponent is at most U.
-    The search runs in passes with a rising bound U, as in IDA*: U starts at
-    L = max_i delta({i}), a lower bound on the exponent, and rises by one
-    after each pass that ends without the all-ones matrix, up to
-    ``max_depth`` (default ``default_max_depth(n)``); if L exceeds
-    ``max_depth`` no pass runs.  Past the table cap, and on a non-primitive
-    set (some delta({i}) is unreached exactly then), there is no bound and
-    the one pass has U = ``max_depth``.
+    consistent (h(P) <= 1 + h(P*g)), so ``LevelSearch`` with this
+    ``distance`` stores every product P with d(P) + h(P) <= E at its
+    shortest length d(P), E being the exponent, in rising d + h; the
+    all-ones matrix (h = 0) is the last of them.  ``explored`` is their
+    count once the exponent is found, and a ``max_states`` below it finds
+    no exponent.  Past the table cap the search is the level-order one
+    with domination, up to ``max_depth`` (default ``default_max_depth(n)``).
+    At n <= 13 some delta({i}) is unreached exactly on a set that is not
+    primitive, which is then ``exhausted`` at once: no search runs, and
+    the exponent stays None.
 
-    Stops as soon as the all-ones matrix appears, when the semigroup is
-    closed (no new products), or when a limit is hit; in the latter case
-    the result is flagged partial via ``limit``, "depth" once the pass at
-    U = ``max_depth`` ends without the all-ones matrix.  Each pass stores at
-    most ``max_states`` products, and ``explored`` and ``pruned`` sum the
-    passes; ``depth_reached`` is the last pass's.  A pass stores exactly
-    the unbounded pass's keys of each level d with d + h <= U (they are
-    closed upward under domination), so every exponent that pass finds
-    under the cap, the passes find too.  A pass that ends within the cap
-    proves the exponent exceeds U, which ``lower_bound`` records.
-    Non-primitive input is fine: the exponent simply stays None.
+    Stops as soon as the all-ones matrix appears, or when a limit is hit;
+    the result is then flagged partial via ``limit``.  ``lower_bound`` is
+    what the search proved: at least L = max(1, max_i delta({i})), the
+    bucket cut by the state cap, the least d + h cut by the depth limit
+    (``max_depth`` + 1 past the table cap), the exponent once found.
     """
     mset.require_nz()
     n = mset.n
@@ -419,6 +435,18 @@ def explore(
         max_depth = default_max_depth(n)
     LevelSearch.check_limits(max_depth, max_states)
     result = SearchResult(n=n)
+    dist = subset_distances(mset)
+    distance = None
+    if dist is not None:
+        singles = [dist[1 << i] for i in range(n)]
+        if UNREACHED in singles:
+            result.exhausted = True
+            result.lower_bound = max_depth + 1
+            return result
+        distance = lambda key: max(map(dist.__getitem__, key))
+        # Every product has length at least 1, even at n = 1 where
+        # delta({0}) = 0.
+        result.lower_bound = max(1, *singles)
     ones = ((1 << n) - 1,) * n
     images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
     # Digits are bytes, so at n <= 8 a key (a tuple of rows) is its own digits.
@@ -426,42 +454,26 @@ def explore(
     digits = (lambda key: key) if n <= 8 else lambda key: b"".join(
         [row.to_bytes(row_bytes, "little") for row in key]
     )
-    roots = [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)]
-    dist = subset_distances(mset)
-    distance = None
-    first = max_depth
-    if dist is not None and all(dist[1 << i] != UNREACHED for i in range(n)):
-        distance = lambda key: max(map(dist.__getitem__, key))
-        # Every product has length at least 1, even at n = 1 where
-        # delta({0}) = 0.
-        first = result.lower_bound = max(1, *(dist[1 << i] for i in range(n)))
-    for bound in range(first, max_depth + 1):
-        level = LevelResult(n=n)
-        search = LevelSearch(
-            level,
-            mset.m,
-            lambda key, g: tuple(map(images[g], key)),
-            digits,
-            roots,
-            1,
-            bound,
-            max_states,
-            distance,
-        )
-        keys = search.keys
-        for node in search:
-            if keys[node] == ones:
-                result.exponent = Reach(level.depth_reached, search.word(node))
-                result.lower_bound = level.depth_reached
-                break
-        result.explored += level.explored
-        result.pruned += level.pruned
-        result.depth_reached = level.depth_reached
-        if result.exponent is not None or level.limit == "states":
-            result.limit = level.limit
+    search = LevelSearch(
+        result,
+        mset.m,
+        lambda key, g: tuple(map(images[g], key)),
+        digits,
+        [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)],
+        1,
+        max_depth,
+        max_states,
+        distance,
+    )
+    keys = search.keys
+    for node in search:
+        if keys[node] == ones:
+            word = search.word(node)
+            result.exponent = Reach(len(word), word)
+            result.lower_bound = len(word)
             return result
-        result.lower_bound = bound + 1
-        # Only an unbounded pass can run out of products.
-        result.exhausted = level.exhausted and distance is None
-    result.limit = None if result.exhausted else "depth"
+    if result.exhausted:
+        result.lower_bound = max_depth + 1
+    else:
+        result.lower_bound = max(result.lower_bound, search.bound)
     return result

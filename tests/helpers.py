@@ -109,11 +109,20 @@ def row_tuple_product(rows: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, .
     return tuple(out)
 
 
-def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> dict[tuple[int, ...], int]:
+def semigroup_closure(
+    mset: MatrixSet, cap: int = 500_000, bound: int | None = None
+) -> dict[tuple[int, ...], int]:
     """Full forward closure of the generated semigroup: each product, as a
-    row-tuple key, with the length of its shortest word."""
+    row-tuple key, with the length d of its shortest word.  With ``bound``
+    U, only the products with d + h <= U, h being ``product_distance``: h
+    drops by at most one per letter, so every prefix of a shortest word of
+    such a product is one too, and the breadth-first search that drops the
+    others still meets each at its shortest length."""
     gens = [g.rows for g in mset.generators]
-    seen = dict.fromkeys(gens, 1)
+    h = product_distance(mset)
+    within = lambda rows, length: bound is None or (
+        h(rows) is not None and length + h(rows) <= bound)
+    seen = {rows: 1 for rows in gens if within(rows, 1)}
     frontier = list(seen)
     length = 1
     while frontier:
@@ -122,7 +131,7 @@ def semigroup_closure(mset: MatrixSet, cap: int = 500_000) -> dict[tuple[int, ..
         for rows in frontier:
             for g in gens:
                 child = row_tuple_product(rows, g)
-                if child not in seen:
+                if child not in seen and within(child, length):
                     seen[child] = length
                     nxt.append(child)
                     if len(seen) > cap:
@@ -144,29 +153,24 @@ def maximal(cands) -> set:
 
 
 def maximal_levels(
-    roots, children, cap: int = 200_000, depth: int | None = None, keep=None
+    roots, children, cap: int = 200_000, depth: int | None = None
 ) -> tuple[list[set], int]:
     """The stored levels of a search that keeps each level's maximal new
     keys, and the number of distinct keys it met (kept or not).
 
     Level 0 is the maximal roots; the next level is every child of the
     current level not seen before (every candidate, kept or not, counts as
-    seen), filtered pairwise by ``maximal``.  With ``keep``, a key is a
-    candidate of level i only if ``keep(i, key)``; one it rejects is not
-    met.  Stops at the first level with no candidate, or once it holds
-    ``depth`` levels.
+    seen), filtered pairwise by ``maximal``.  Stops at the first level with
+    no candidate, or once it holds ``depth`` levels.
     """
-    keep = keep or (lambda depth, key: True)
-    seen = {root for root in roots if keep(0, root)}
+    seen = set(roots)
     level = maximal(seen)
     levels = []
     while level:
         levels.append(level)
         if len(levels) == depth:
             break
-        cands = {
-            c for key in level for c in children(key) if c not in seen and keep(len(levels), c)
-        }
+        cands = {c for key in level for c in children(key) if c not in seen}
         seen |= cands
         if len(seen) > cap:
             raise RuntimeError("maximal-levels cap exceeded")
@@ -184,12 +188,11 @@ def entry_rows(mset: MatrixSet) -> list[list[int]]:
     ]
 
 
-def subset_distance(mset: MatrixSet, subset: int, limit: int | None = None) -> int | None:
+def subset_distance(mset: MatrixSet, subset: int) -> int | None:
     """The length of the shortest word whose forward image of the row set
     ``subset`` (a mask) is every state, by a breadth-first search forward
-    from it; None if no word of length at most ``limit`` (or of any length)
-    does.  The image of S under g is the set of columns j with some entry
-    g(s, j), s in S, read entry by entry."""
+    from it; None if no word does.  The image of S under g is the set of
+    columns j with some entry g(s, j), s in S, read entry by entry."""
     n = mset.n
     full = (1 << n) - 1
     rows = entry_rows(mset)
@@ -199,8 +202,6 @@ def subset_distance(mset: MatrixSet, subset: int, limit: int | None = None) -> i
         current = queue.popleft()
         if current == full:
             return dist[current]
-        if dist[current] == limit:
-            continue
         for g_rows in rows:
             image = 0
             for s in range(n):
@@ -212,18 +213,18 @@ def subset_distance(mset: MatrixSet, subset: int, limit: int | None = None) -> i
     return None
 
 
-def product_distance(mset: MatrixSet, limit: int | None = None):
+def product_distance(mset: MatrixSet):
     """h(P) = max over the rows of P of ``subset_distance``, for row-tuple
     products P: a lower bound on how many more letters P needs to become the
-    all-ones matrix; None where some row reaches every state by no word of
-    length at most ``limit``.  Row distances are cached per call."""
+    all-ones matrix; None where some row reaches every state by no word.
+    Row distances are cached per call."""
     cache: dict[int, int | None] = {}
 
     def h(rows):
         worst = 0
         for row in rows:
             if row not in cache:
-                cache[row] = subset_distance(mset, row, limit)
+                cache[row] = subset_distance(mset, row)
             if cache[row] is None:
                 return None
             worst = max(worst, cache[row])
@@ -233,53 +234,41 @@ def product_distance(mset: MatrixSet, limit: int | None = None):
 
 
 def product_levels(
-    mset: MatrixSet, depth: int | None = None, bound: int | None = None
+    mset: MatrixSet, depth: int | None = None
 ) -> tuple[list[set[tuple[int, ...]]], int]:
     """``maximal_levels`` of the forward products, level 0 holding the
-    generators (products of length 1).  With ``bound`` U, only the products
-    P of length d with d + h(P) <= U are candidates."""
+    generators (products of length 1)."""
     gens = [g.rows for g in mset.generators]
-    keep = None
-    if bound is not None:
-        h = product_distance(mset, bound)
-
-        def keep(level, rows):
-            slack = h(rows)
-            return slack is not None and level + 1 + slack <= bound
-
     return maximal_levels(
-        gens, lambda rows: [row_tuple_product(rows, g) for g in gens], depth=depth, keep=keep
+        gens, lambda rows: [row_tuple_product(rows, g) for g in gens], depth=depth
     )
 
 
-def product_passes(mset: MatrixSet, max_depth: int, primitive: bool | None = None):
-    """The passes of a bounded exponent search, as ``(U, levels, met)``
-    with ``levels, met = product_levels(mset, bound=U)`` (``bound=None``,
-    and so no bound, for a set that is not primitive).
+def exponent_search(mset: MatrixSet, max_depth: int):
+    """What ``explore``'s bounded search on a primitive set stores under
+    ``max_depth`` D, as ``(stored, exponent, cut)``, with f(P) = d(P) + h(P)
+    for d the shortest length and h ``product_distance``.
 
-    U starts at L = max(1, max_i delta({i})) and rises by one until a pass
-    holds the all-ones matrix or U is ``max_depth``; there is no pass if L
-    exceeds ``max_depth``.  delta({i}) is searched up to ``max_depth``
-    only, which settles whether L does; ``primitive``, when given, says
-    whether an unreached singleton means no bound, else it is searched in
-    full.
+    ``exponent`` is E when E <= D, else None: the least bound U whose
+    ``semigroup_closure`` holds the all-ones matrix.  ``stored`` maps every
+    product P with f(P) <= E (with f(P) <= D when E is None) to d(P).
+    ``cut`` is None when E <= D, else the least f above D of a product:
+    every such product's shortest word has a first prefix past D, whose
+    parent is stored (or which is a generator), so it is the least
+    d(P) + 1 + h(P g) above D over the stored P and generators g whose
+    product is not stored, and 1 + h(g) over the generators not stored.
     """
-    n = mset.n
-    ones = ((1 << n) - 1,) * n
-    singles = [subset_distance(mset, 1 << i, max_depth) for i in range(n)]
-    if None in singles:
-        if primitive is None:
-            primitive = None not in [subset_distance(mset, 1 << i) for i in range(n)]
-        bounds = [] if primitive else [None]
-    else:
-        bounds = list(range(max(1, *singles), max_depth + 1))
-    passes = []
-    for bound in bounds:
-        levels, met = product_levels(mset, depth=bound or max_depth, bound=bound)
-        passes.append((bound, levels, met))
-        if levels and ones in levels[-1]:
-            break
-    return passes
+    ones = ((1 << mset.n) - 1,) * mset.n
+    h = product_distance(mset)
+    for bound in range(1, max_depth + 1):
+        stored = semigroup_closure(mset, bound=bound)
+        if ones in stored:
+            return stored, bound, None
+    gens = [g.rows for g in mset.generators]
+    met = [(0, g) for g in gens]
+    met += [(d, row_tuple_product(P, g)) for P, d in stored.items() for g in gens]
+    cut = min(d + 1 + h(child) for d, child in met if child not in stored)
+    return stored, None, cut
 
 
 def subset_levels(

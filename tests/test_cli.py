@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 from rendezvous import (
-    BoolMatrix, MatrixSet, associated_automaton, cpr_set, default_max_depth, example_set,
+    BoolMatrix, MatrixSet, associated_automaton, cpr_set, example_set,
     explore, kari_set, parse_set_file, parse_set_text, semigroup, serialize_set, set_profile,
     subset_bfs, witness_replay,
 )
 from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
 from rendezvous.cli import FLAGS_READ, _cmd_witness, build_parser, main
-from helpers import letter_set, product_levels, product_passes, shift_plus_one, subset_levels
+from helpers import letter_set, shift_plus_one, subset_levels
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,42 +87,13 @@ class TestScalarCommands:
         assert code == 0
         # The cap holds during the first level too.  The profile's two subset
         # searches store one singleton each (length 0), then stop; the
-        # exponent search stores one product (length 1), in its second pass,
-        # since no generator lies within the first pass's bound U = 5, and
-        # stops there.
+        # exponent search stores one generator (length 1, in the bucket
+        # d + h = 6) and stops there.
         assert out.splitlines() == [
             "k=2 rt=not-found (states; explored=2, depth=0)",
             "k=3 rt=not-found (states; explored=2, depth=0)",
             "exponent=not-found (states; explored=1, depth=1)",
         ]
-
-    def test_cpr_exponent_found_under_a_cap_the_passes_outgrow(self, capsys):
-        # On cpr the bound prunes little: the passes store more products in
-        # all than the one unbounded pass.  Each pass may store the whole
-        # cap, so the least cap that finds the exponent is the largest pass,
-        # one more for a pass that must end without the all-ones matrix.
-        cpr = cpr_set()
-        levels, _ = product_levels(cpr)
-        passes = [stored for _, stored, _ in product_passes(cpr, default_max_depth(cpr.n))]
-        sizes = [sum(map(len, stored)) for stored in passes]
-        assert sum(sizes) > sum(map(len, levels))
-        cap = max(sizes[-1], *(size + 1 for size in sizes[:-1]))
-        args = ("--builtin", "cpr", "--max-states", str(cap))
-        assert run(capsys, "exponent", *args) == (0, f"{len(levels)}\n", "")
-        code, out, err = run(capsys, "automata", "sandwich", *args)
-        assert (code, err) == (0, "")
-        assert f"exponent={len(levels)}" in out.splitlines()
-        # One product fewer cuts the first pass that holds that many, at the
-        # level of its last stored key; the passes before it are complete.
-        cap -= 1
-        cut = next(i for i, size in enumerate(sizes) if size >= cap)
-        depth = next(
-            d for d in range(1, len(passes[cut]) + 1)
-            if sum(map(len, passes[cut][:d])) >= cap
-        )
-        out = run(capsys, "exponent", "--builtin", "cpr", "--max-states", str(cap))
-        explored = sum(sizes[:cut]) + cap
-        assert out == (0, f"not-found (states; explored={explored}, depth={depth})\n", "")
 
     def test_krt_single_k_depth_limit_named(self, capsys):
         code, out, _ = run(
@@ -220,7 +191,7 @@ class TestAutomataCommands:
     def test_sparse08_exponent_lies_in_the_sandwich(self, capsys):
         # A primitive pair at n = 8 (two permutations plus three ones) whose
         # exponent 29 the unbounded level search did not reach within
-        # 300,000 stored products; the bounded passes store a few thousand.
+        # 300,000 stored products; the bounded search stores a few thousand.
         mset = parse_set_file(SPARSE08)
         cap = ("--file", SPARSE08, "--max-states", "100000")
         assert run(capsys, "exponent", *cap) == (0, "29\n", "")
@@ -543,6 +514,22 @@ def shift_automaton_text(title: str, label: str, step: int, n: int = 13) -> str:
         ),
         (("automata", "rt", "--builtin", "cpr", "--letter-cap", "5"), 1, "",
          "domain: automata rt does not read --letter-cap\n"),
+        # The exponent search stores 485 products on cpr, the all-ones
+        # matrix last, so one fewer finds no exponent.
+        (("exponent", "--builtin", "cpr", "--max-states", "485"), 0, "15\n", ""),
+        (("exponent", "--builtin", "cpr", "--max-states", "484"), 0,
+         "not-found (states; explored=484, depth=14)\n", ""),
+        (("automata", "sandwich", "--builtin", "cpr", "--max-states", "485"), 0,
+         "rt_aut=7\nexponent=15\nrt_aut_T=5\nupper=15\nlower_ok=true\nupper_ok=true\n"
+         "tight=true\n", ""),
+        (("automata", "sandwich", "--builtin", "cpr", "--max-states", "484"), 1, "",
+         "limit: exponent not found within limits (limit=states, explored=484, depth=14)\n"),
+        # A set that is not primitive has some singleton row set that no
+        # word takes to every state; the exponent search then stores nothing.
+        (("exponent", "--file", SWAP), 0,
+         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
+        (("exponent", "--file", LOWER), 0,
+         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):

@@ -45,7 +45,7 @@ from rendezvous import (
     verify_sandwich,
     witness_replay,
 )
-from rendezvous.cli import main
+from rendezvous.cli import _not_found, main
 from rendezvous.pairgraph import pair_vertices
 from rendezvous.boolmat import max_column_weight, row_image
 from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
@@ -67,8 +67,8 @@ from helpers import (
     oracle_path,
     pair_distances_oracle,
     product_distance,
+    exponent_search,
     product_levels,
-    product_passes,
     reached,
     recorded_searches,
     row_tuple_product,
@@ -240,57 +240,59 @@ def test_set_profile_matches_unpruned_oracle_and_replays(mset, depth):
             assert entry_max_weight(witness_replay(mset, entry.word).rows) >= k
 
 
+def stored_lengths(search) -> dict:
+    """A ``LevelSearch``'s stored keys, each with the length of its word."""
+    return {key: len(search.word(node)) for node, key in enumerate(search.keys)}
+
+
 @PROPERTY
 @given(nz_sets(), st.integers(1, 30))
 @example(cpr_set(), 30)
 def test_explore_never_stores_more_than_max_states(mset, cap):
-    # Each pass stores the oracle's pass in full, or stops once it holds
-    # the cap, which ends the search unless the cap-th key is the all-ones
-    # matrix.  A pass that ends within the cap proves exponent > U.  Drawn
-    # sets mostly need one pass; on cpr the passes U = 9..11 together
-    # outgrow the cap of 30 before one pass reaches it.
+    # The one search stores the oracle's products in rising f = d + h, each
+    # at its shortest length d, and stops once it holds the cap unless the
+    # cap-th is the all-ones matrix, the last product it stores.  Every f
+    # below the last one stored is complete, which proves exponent >= f.
     with recorded_searches() as searches:
         result = explore(mset, max_states=cap)
-    passes = product_passes(mset, default_max_depth(mset.n))
-    sizes = [sum(map(len, levels)) for _, levels, _ in passes]
-    full = [size >= cap for size in sizes]
-    count = full.index(True) + 1 if True in full else len(passes)
-    assert len(searches) == count
-    for search, (_, levels, _) in zip(searches[:-1], passes):
-        assert stored_levels(search) == levels
-    assert all(len(search.keys) <= cap for search in searches)
-    assert result.explored == sum(len(search.keys) for search in searches)
-    assert (result.limit == "states") == (True in full and result.exponent is None)
+    assert result.explored == sum(len(search.keys) for search in searches) <= cap
+    if not searches:
+        assert result.exhausted and result.explored == 0
+        return
+    (search,) = searches
+    stored, exponent, _ = exponent_search(mset, default_max_depth(mset.n))
+    h = product_distance(mset)
+    lengths = stored_lengths(search)
+    assert all(stored[rows] == d for rows, d in lengths.items())
+    top = max(d + h(rows) for rows, d in lengths.items())
+    assert all(rows in lengths for rows, d in stored.items() if d + h(rows) < top)
+    assert (result.limit == "states") == (len(stored) > cap)
     if result.limit == "states":
-        assert len(searches[-1].keys) == cap
-        complete = [bound for bound, _, _ in passes[: count - 1]]
-        first = passes[0][0] or 1
-        assert result.lower_bound == (complete[-1] + 1 if complete else first)
+        assert result.explored == cap and result.lower_bound == top
+    else:
+        assert result.exponent.length == exponent and result.explored == len(stored)
 
 
 @PROPERTY
 @given(nz_sets(), st.integers(-2, 2))
 @example(cpr_set(), 0)
-def test_explore_finds_every_exponent_one_unbounded_pass_finds_under_the_cap(mset, slack):
-    # One unbounded pass stores the oracle's levels up to the one that holds
-    # the all-ones matrix (and nothing else), so a cap of that many products
-    # is the least under which it finds the exponent.  Each pass stores a
-    # part of those levels, so no pass up to the exponent holds more, though
-    # the passes may store more in all (on cpr they do).
-    levels, _ = product_levels(mset)
-    ones = ((1 << mset.n) - 1,) * mset.n
-    found = ones in levels[-1]
-    cap = max(1, sum(map(len, levels)) + slack)
-    with recorded_searches() as searches:
-        result = explore(mset, max_states=cap)
-    assert all(len(search.keys) <= cap for search in searches)
-    if found and slack >= 0:
-        assert result.exponent is not None
-    if result.exponent is not None:
-        assert found and result.exponent.length == result.lower_bound == len(levels)
-        assert witness_replay(mset, result.exponent.word) == BoolMatrix.ones(mset.n)
-    elif found:
-        assert result.limit == "states" and result.lower_bound <= len(levels)
+@example(cpr_set(), -1)
+def test_explore_finds_the_exponent_iff_the_cap_holds_the_uncapped_search(mset, slack):
+    # The all-ones matrix is the last product the search stores, so a cap
+    # finds the exponent iff it holds all the uncapped search stores; below
+    # that, the limit line names the state cap.
+    full = explore(mset)
+    if full.exponent is None:
+        assert full.exhausted and full.explored == 0
+        return
+    cap = max(1, full.explored + slack)
+    result = explore(mset, max_states=cap)
+    if cap >= full.explored:
+        assert (result.exponent, result.explored) == (full.exponent, full.explored)
+    else:
+        assert result.exponent is None
+        assert _not_found(result) == (
+            f"not-found (states; explored={cap}, depth={result.depth_reached})")
 
 
 @PROPERTY
@@ -302,21 +304,18 @@ def test_explore_stores_a_dominating_part_of_the_closure(mset):
     ones = ((1 << mset.n) - 1,) * mset.n
     h = product_distance(mset)
     for search in searches:
-        # Each pass with bound U stores products of the closure, and every
-        # product that a word of length d spells with d + h <= U lies below
-        # one of them (without a bound, every product up to its depth).
-        bound = search.max_depth
+        # The search stores products of the closure, and every product that
+        # a word of length d spells with d + h up to the exponent lies
+        # below (here: is) one of them.
         stored = set(search.keys)
         assert stored <= closure.keys()
         within = [
             rows for rows, length in closure.items()
-            if length <= bound
-            and (search.distance is None or length + h(rows) <= bound)
+            if length + h(rows) <= result.exponent.length
         ]
         assert all(any(entry_leq(rows, key) for key in stored) for rows in within)
     if result.exhausted:
-        assert len(searches) == 1
-        assert result.explored == sum(map(len, product_levels(mset)[0]))
+        assert searches == [] and result.explored == 0
         assert result.exponent is None and ones not in closure
     else:
         assert result.exponent is not None and ones in closure
@@ -328,53 +327,53 @@ def assert_antichains(levels):
             assert not any(b != a and entry_leq(a, b) for b in level)
 
 
-def assert_passes_match_the_oracle(mset, searches, result, max_depth, primitive=None):
-    """Each recorded pass of ``explore`` stores the oracle's levels under
-    its bound, in the oracle's order of passes, and the result sums them.
-    A pass with bound U stores the unbounded oracle's level-d products P
-    with d + h(P) <= U, the property under which no exponent is lost to
-    the state cap."""
-    passes = product_passes(mset, max_depth, primitive)
-    assert [(search.max_depth, search.distance is not None) for search in searches] == [
-        (bound or max_depth, bound is not None) for bound, _, _ in passes
-    ]
-    unbounded, _ = product_levels(mset, depth=max_depth)
+def assert_search_matches_the_oracle(mset, searches, result, max_depth):
+    """At n <= 13 ``explore`` starts one search, a bucketed A*, on a
+    primitive set and none on another, and it stores what
+    ``helpers.exponent_search`` says: every product P with d(P) + h(P)
+    within the exponent, or within ``max_depth`` when the exponent lies
+    past it, at its shortest length d(P), in rising d + h, with no key
+    pruned.  A depth cut proves the least d + h past ``max_depth``."""
+    singles = [subset_distance(mset, 1 << i) for i in range(mset.n)]
+    if None in singles:
+        assert searches == []
+        assert (result.exhausted, result.limit, result.exponent) == (True, None, None)
+        assert result.explored == result.depth_reached == 0
+        return
+    (search,) = searches
+    assert search.distance is not None and search.max_depth == max_depth
+    stored, exponent, cut = exponent_search(mset, max_depth)
+    lengths = stored_lengths(search)
+    assert lengths == stored and len(search.keys) == len(stored)
     h = product_distance(mset)
-    for search, (bound, oracle, _) in zip(searches, passes):
-        levels = stored_levels(search)
-        assert_antichains(levels)
-        assert levels == oracle
-        if bound is not None:
-            within = [
-                {rows for rows in level if d + h(rows) <= bound}
-                for d, level in enumerate(unbounded, 1)
-            ]
-            assert levels == within[: len(levels)] and not any(within[len(levels):])
-    assert result.explored == sum(len(search.keys) for search in searches)
-    assert result.pruned == sum(met for _, _, met in passes) - result.explored
-    assert result.depth_reached == (len(passes[-1][1]) if passes else 0)
-    assert (result.limit is None) == (result.exponent is not None or result.exhausted)
-    if result.exponent is None:
-        assert result.lower_bound > max_depth
+    f = [lengths[rows] + h(rows) for rows in search.keys]
+    assert f == sorted(f)
+    assert (result.explored, result.pruned) == (len(stored), 0)
+    assert result.depth_reached == max(stored.values(), default=0)
+    assert result.lower_bound >= max(1, *singles)
+    if exponent is None:
+        assert (result.exponent, result.limit, result.lower_bound) == (None, "depth", cut)
     else:
-        assert result.lower_bound == result.exponent.length == len(passes[-1][1])
+        assert result.limit is None
+        assert result.exponent.length == result.lower_bound == exponent
+        assert witness_replay(mset, result.exponent.word) == BoolMatrix.ones(mset.n)
 
 
 @PROPERTY
 @given(nz_sets())
-def test_explore_levels_are_the_maximal_levels_of_the_oracle(mset):
+def test_explore_stores_the_oracle_products(mset):
     with recorded_searches() as searches:
         result = explore(mset)
-    assert_passes_match_the_oracle(mset, searches, result, default_max_depth(mset.n))
+    assert_search_matches_the_oracle(mset, searches, result, default_max_depth(mset.n))
 
 
-# A depth limit below L = max_i delta({i}) leaves no pass to run.
+# A depth limit below L = max_i delta({i}) leaves no product to store.
 @PROPERTY
 @given(nz_sets(), st.integers(1, 8))
-def test_explore_passes_under_a_depth_limit_match_the_oracle(mset, depth):
+def test_explore_under_a_depth_limit_matches_the_oracle(mset, depth):
     with recorded_searches() as searches:
         result = explore(mset, max_depth=depth)
-    assert_passes_match_the_oracle(mset, searches, result, depth)
+    assert_search_matches_the_oracle(mset, searches, result, depth)
 
 
 @PROPERTY
@@ -399,9 +398,8 @@ def assert_levels_match(levels, oracle, stopped_at_target):
         assert levels == oracle
 
 
-# Past 8 states a row, or a subset's mask, spans more than one byte-sized
-# digit of the domination index.
-# The depth limit lies a few steps past L, so the bounded passes store keys.
+# Past 8 states a row spans more than one byte; the bounded search reads
+# whole rows.  The depth limit lies a few steps past L, so it stores keys.
 @settings(PROPERTY, max_examples=60)
 @given(thin_nz_sets(9, 12), st.integers(1, 5))
 def test_explore_levels_past_one_byte_match_the_oracle(mset, extra):
@@ -410,10 +408,10 @@ def test_explore_levels_past_one_byte_match_the_oracle(mset, extra):
     depth = max(singles) + extra
     with recorded_searches() as searches:
         result = explore(mset, max_depth=depth)
-    assert_passes_match_the_oracle(mset, searches, result, depth, primitive=True)
+    assert_search_matches_the_oracle(mset, searches, result, depth)
 
 
-# Past the distance table's cap the search runs unbounded, in one pass.
+# Past the distance table's cap the search is level-order, with domination.
 @settings(PROPERTY, max_examples=30)
 @given(thin_nz_sets(DISTANCE_TABLE_DIMENSION_CAP + 1, 20), st.integers(1, 4))
 def test_explore_levels_past_the_table_cap_match_the_oracle(mset, depth):

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -19,7 +20,8 @@ from rendezvous import (
 )
 from helpers import (
     entry_max_weight,
-    product_levels,
+    exponent_search,
+    product_distance,
     random_nz_set,
     random_primitive_set,
     recorded_searches,
@@ -76,26 +78,39 @@ class TestExplore:
             profile = set_profile(mset)
             assert profile.krt[mset.n].length <= explore(mset).exponent.length
 
+    def test_explore_starts_one_search_per_call(self):
+        for mset in (example_set(), cpr_set(), kari_set(), shift_plus_one(14)):
+            with recorded_searches() as searches:
+                result = explore(mset)
+            assert len(searches) == 1 and result.exponent is not None
+            assert result.explored == len(searches[0].keys)
+
     def test_non_primitive_reports_exhaustion(self):
+        # At n <= 13 some row set {i} that no word takes to every state
+        # proves the set is not primitive, so no search starts.
         cycle = BoolMatrix.from_rows([[0, 1], [1, 0]])
-        result = explore(MatrixSet.of([cycle]))
+        with recorded_searches() as searches:
+            result = explore(MatrixSet.of([cycle]))
+        assert searches == []
         assert result.exponent is None
         assert result.exhausted
         assert result.limit is None
+        assert (result.explored, result.depth_reached) == (0, 0)
         profile = set_profile(MatrixSet.of([cycle]))
         assert profile.exhausted and profile.limit is None
         assert 2 not in profile.krt
 
     def test_depth_limit_flags_partial_result(self):
-        # L = max_i delta({i}) = 5 on the example exceeds the depth limit,
-        # so no generator G has 1 + h(G) <= 2 and no pass runs.
+        # L = max_i delta({i}) = 5 on the example, and every product P has
+        # d(P) + h(P) >= 6, so at a depth limit of 2 nothing is stored and
+        # the least f cut, 6, is the lower bound.
         example = example_set()
         assert max(subset_distance(example, 1 << i) for i in range(3)) == 5
-        assert product_levels(example, bound=2) == ([], 0)
+        assert exponent_search(example, 2) == ({}, None, 6)
         result = explore(example, max_depth=2)
         assert result.exponent is None
         assert result.limit == "depth"
-        assert (result.explored, result.depth_reached, result.lower_bound) == (0, 0, 5)
+        assert (result.explored, result.depth_reached, result.lower_bound) == (0, 0, 6)
 
     def test_state_limit_flags_partial_result(self):
         result = explore(example_set(), max_states=3)
@@ -166,34 +181,31 @@ class TestExplore:
         assert witness_replay(cpr_set(), result.exponent.word) == BoolMatrix.ones(4)
 
     def test_kari_work_counters_frozen(self):
-        # The domination index and the distance bound are exact, so a change
-        # that moves these counts stores different keys.  The counts are the
-        # oracle's: ``helpers.product_passes(kari_set(), 56)`` (about 7 s)
-        # runs the passes U = 15..28, whose levels hold 12,304 products and
-        # meet 1,253 more, and whose last pass holds 28 levels.
-        result = explore(kari_set())
-        assert (result.explored, result.pruned, result.depth_reached) == (12_304, 1_253, 28)
+        # The distance bound is exact, so a change that moves these counts
+        # stores different keys.  The search stores every product P with
+        # d(P) + h(P) <= 28, the exponent, each at its shortest length, and
+        # tests no domination.
+        kari = kari_set()
+        stored, exponent, _ = exponent_search(kari, 28)
+        assert (len(stored), exponent) == (7_606, 28)
+        result = explore(kari)
+        assert (result.explored, result.pruned, result.depth_reached) == (7_606, 0, 28)
         assert result.exponent.length == result.lower_bound == 28
-        assert witness_replay(kari_set(), result.exponent.word) == BoolMatrix.ones(6)
+        assert witness_replay(kari, result.exponent.word) == BoolMatrix.ones(6)
 
     def test_kari_lower_bound_under_a_state_cap(self):
-        # The oracle's passes from L, each stored in full until one holds
-        # the cap, which cuts it: the last one stored in full proves
-        # exponent > U, so the cut pass's U is the lower bound.
+        # Products are stored in rising f = d + h, so the cap cuts the least
+        # f whose products, with those of every smaller f, reach the cap;
+        # every smaller f is complete, which proves exponent >= f.
         kari, cap = kari_set(), 2000
-        bound = max(subset_distance(kari, 1 << i) for i in range(kari.n))
-        complete = 0
-        while True:
-            levels, _ = product_levels(kari, depth=bound, bound=bound)
-            stored = sum(map(len, levels))
-            if stored >= cap:
-                break
-            complete += stored
-            bound += 1
+        stored, _, _ = exponent_search(kari, 28)
+        h = product_distance(kari)
+        counts = collections.Counter(d + h(rows) for rows, d in stored.items())
+        bound = next(f for f in sorted(counts) if sum(counts[g] for g in counts if g <= f) >= cap)
         result = explore(kari, max_states=cap)
         assert (result.limit, result.exponent) == ("states", None)
-        assert result.explored == complete + cap
-        assert result.lower_bound == bound <= 28
+        assert result.explored == cap
+        assert result.lower_bound == bound < 28
 
     def test_builtin_exponents_match_the_unpruned_oracle_under_every_depth(self):
         for mset in (example_set(), cpr_set()):
