@@ -19,7 +19,7 @@ from rendezvous import (
 )
 from rendezvous.bounds import _B_TABLES, _LIFT_GRIDS
 from rendezvous.cli import FLAGS_READ, _cmd_witness, build_parser, main
-from helpers import letter_set, shift_plus_one, subset_levels
+from helpers import letter_set, semigroup_closure, shift_plus_one, subset_levels
 
 DATA = Path(__file__).parent / "data"
 
@@ -94,6 +94,26 @@ class TestScalarCommands:
             "k=3 rt=not-found (states; explored=2, depth=0)",
             "exponent=not-found (states; explored=1, depth=1)",
         ]
+
+    def test_cpr_exponent_found_under_a_cap_the_passes_outgrow(self, capsys):
+        # Passes restarted for each bound U would store each bounded closure
+        # again, more in all on cpr than the one search, which resumes and
+        # finds the exponent once the cap holds what it stores.  One product
+        # fewer ends it at the state cap.
+        cpr = cpr_set()
+        full = explore(cpr)
+        exponent = full.exponent.length
+        passes = sum(len(semigroup_closure(cpr, bound=u)) for u in range(1, exponent + 1))
+        assert passes > full.explored
+        args = ("--builtin", "cpr", "--max-states", str(full.explored))
+        assert run(capsys, "exponent", *args) == (0, f"{exponent}\n", "")
+        code, out, err = run(capsys, "automata", "sandwich", *args)
+        assert (code, err) == (0, "")
+        assert f"exponent={exponent}" in out.splitlines()
+        cap = full.explored - 1
+        depth = explore(cpr, max_states=cap).depth_reached
+        out = run(capsys, "exponent", "--builtin", "cpr", "--max-states", str(cap))
+        assert out == (0, f"not-found (states; explored={cap}, depth={depth})\n", "")
 
     def test_krt_single_k_depth_limit_named(self, capsys):
         code, out, _ = run(

@@ -296,6 +296,33 @@ def test_explore_finds_the_exponent_iff_the_cap_holds_the_uncapped_search(mset, 
 
 
 @PROPERTY
+@given(nz_sets(), st.integers(-2, 2))
+@example(cpr_set(), 0)
+def test_explore_finds_every_exponent_one_unbounded_pass_finds_under_the_cap(mset, slack):
+    # One unbounded pass stores the oracle's levels up to the one that holds
+    # the all-ones matrix.  The one search finds that exponent, under every
+    # cap that holds its own uncapped count; it tests no domination, so that
+    # count may pass the pass's, and under a cap of the pass's count it may
+    # stop at the state cap with a lower bound not past the exponent.
+    levels, _ = product_levels(mset)
+    ones = ((1 << mset.n) - 1,) * mset.n
+    found = ones in levels[-1]
+    full = explore(mset)
+    assert (full.exponent is not None) == found
+    cap = max(1, sum(map(len, levels)) + slack)
+    with recorded_searches() as searches:
+        result = explore(mset, max_states=cap)
+    assert all(len(search.keys) <= cap for search in searches)
+    if found and cap >= full.explored:
+        assert result.exponent is not None
+    if result.exponent is not None:
+        assert found and result.exponent.length == result.lower_bound == len(levels)
+        assert witness_replay(mset, result.exponent.word) == BoolMatrix.ones(mset.n)
+    elif found:
+        assert result.limit == "states" and result.lower_bound <= len(levels)
+
+
+@PROPERTY
 @given(nz_sets(max_n=4, max_m=2))
 def test_explore_stores_a_dominating_part_of_the_closure(mset):
     with recorded_searches() as searches:
