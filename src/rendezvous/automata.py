@@ -11,16 +11,24 @@ j of A_{w1}...A_{wd} is pre_{w1}(...pre_{wd}({j})).  So the first level of
 preimages of singletons holding a subset of size k is the length of the
 shortest product with a weight-k column; on an automaton's letters, of the
 shortest word mapping k states onto one.  The search is
-``semigroup.LevelSearch`` with subsets as keys, each viewed as the bytes of
-its mask; each level keeps only its maximal new subsets, which is exact
-since S within T implies pre_a(S) within pre_a(T).
+``semigroup.LevelSearch`` with subsets as keys.  At n <= 13, when the
+letters' preimage tables (``row_image_table`` of each transpose) hold at
+most ``SUBSET_TABLE_ENTRIES_CAP`` entries in all, a child is one table
+entry and every new subset is stored.  Otherwise a child is a
+``row_image`` and each level keeps only its maximal new subsets, viewed as
+the bytes of their masks, which is exact since S within T implies
+pre_a(S) within pre_a(T).
 
 ``side_searches`` runs it on a set's generators and on their transposes,
 and every rt_k and reset threshold of the set and of its two automata comes
 from there, without building an automaton.  For a letter f below a
 generator g, pre_f(S) lies within pre_g(S), and some such f attains
-pre_g(S); so under per-level domination the generators reach every subset
-size, and the full set, at the same length as Aut's letters.
+pre_g(S) (row i of f picks a state of S where row i of g meets S).  So by
+induction on d every subset the generators reach by a word of length d
+one of Aut's letter words reaches too, and every subset the letters reach
+lies within one the generators reach at the same length: the generators
+reach every subset size, and the full set, at the same length as Aut's
+letters, with or without domination.
 ``set_profile`` takes the minimum of the two sides: the paper's
 rt_k(M) = min(rt_k(Aut M), rt_k(Aut M^T)).  ``spell_reset`` writes a reset
 word over the generators in Aut's letters, labelled by ``letter_label``.
@@ -34,12 +42,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .boolmat import BoolMatrix, MatrixSet, bits, row_image
+from .boolmat import BoolMatrix, MatrixSet, bits, row_image, row_image_table
 from .errors import LetterCapError, NotPrimitiveError, SearchLimitError
 from .pairgraph import require_primitive
-from .semigroup import LevelResult, LevelSearch, Reach, explore, note_first_reach
+from .semigroup import (
+    DISTANCE_TABLE_DIMENSION_CAP,
+    LevelResult,
+    LevelSearch,
+    Reach,
+    explore,
+    note_first_reach,
+)
 
 DEFAULT_LETTER_CAP = 4096
+# The most entries, m * 2^n over m letters at n states, that the subset
+# search tabulates preimages in: 8 letters at n = 13, where a pair of
+# generators takes 16,384.  An entry is a list slot and an int, about 36 B,
+# so the tables stay near 2.4 MB.  Past it, or past n = 13, each preimage
+# is a ``row_image`` and each level keeps its maximal new subsets.
+SUBSET_TABLE_ENTRIES_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,8 +163,10 @@ def subset_bfs(
 ) -> SubsetBfsResult:
     """Backward subset BFS from the singletons over n x n boolean letters.
 
-    Level d holds the maximal new preimages of single states under words
-    of length d; a subset of size k there is a column of weight k of the
+    Level d holds the new preimages of single states under words of
+    length d: all of them when the search is tabulated (n <= 13 and m * 2^n
+    at most ``SUBSET_TABLE_ENTRIES_CAP``, so ``pruned`` stays 0), else the
+    maximal ones.  A subset of size k there is a column of weight k of the
     word's product, and the full set is a reset.  Words are reported in
     application order (leftmost letter applied first), which is product
     order.  The 1-state search is reset by the empty word.  ``max_depth``
@@ -153,27 +176,31 @@ def subset_bfs(
     full = (1 << n) - 1
     result = SubsetBfsResult(n=n)
     columns = [letter.transpose().rows for letter in letters]
-    mask_bytes = (n + 7) // 8
+    if n <= DISTANCE_TABLE_DIMENSION_CAP and len(columns) << n <= SUBSET_TABLE_ENTRIES_CAP:
+        tables = [row_image_table(rows) for rows in columns]
+        child = lambda mask, a: tables[a][mask]
+        digits = None
+    else:
+        mask_bytes = (n + 7) // 8
+        child = lambda mask, a: row_image(columns[a], mask)
+        digits = lambda mask: mask.to_bytes(mask_bytes, "little")
     search = LevelSearch(
-        result,
-        len(columns),
-        lambda mask, a: row_image(columns[a], mask),
-        lambda mask: mask.to_bytes(mask_bytes, "little"),
-        [(1 << q, -1) for q in range(n)],
-        0,
-        max_depth,
-        max_states,
+        result, len(columns), child, digits, [(1 << q, -1) for q in range(n)], 0,
+        max_depth, max_states,
     )
-    masks = search.keys
+    masks, krt = search.keys, result.krt
     # A preimage's letter is applied before its parent's word, so a word
-    # read root first is in reverse application order.
+    # read root first is in reverse application order.  Only a subset
+    # heavier than every one before it, or the full set, has a word to
+    # record.
     for node in search:
         mask = masks[node]
-        word = lambda: Reach(result.depth_reached, search.word(node)[::-1])
-        note_first_reach(result.krt, mask.bit_count(), word)
-        if mask == full:
-            result.reset = word()
-            break
+        if mask.bit_count() > len(krt) + 1 or mask == full:
+            word = Reach(result.depth_reached, search.word(node)[::-1])
+            note_first_reach(krt, mask.bit_count(), lambda: word)
+            if mask == full:
+                result.reset = word
+                break
     return result
 
 

@@ -11,7 +11,9 @@ a row costs a few word-parallel operations, not one step per set bit.
 ``row_image`` is the one "OR of rows over a mask's support" kernel: a
 product row, a memoized child row in the semigroup search, a subset
 preimage in the subset search and a column of the heuristic's product
-are all row images.
+are all row images.  ``row_image_table`` is its tabulated form, every
+mask's image by doubling: the forward tables of the exponent search's
+distance table and the preimage tables of the subset search at small n.
 
 All values here are immutable after construction, so they can be shared
 freely between threads and reused as dict keys.
@@ -42,6 +44,16 @@ def row_image(rows: tuple[int, ...], mask: int) -> int:
         acc |= rows[low.bit_length() - 1]
         mask ^= low
     return acc
+
+
+def row_image_table(rows: tuple[int, ...]) -> list[int]:
+    """``row_image(rows, mask)`` for every mask below 2^len(rows), indexed
+    by mask, filled by doubling: the image of mask | bit j, for mask below
+    bit j, is the image of mask OR ``rows[j]``."""
+    table = [0]
+    for row in rows:
+        table += [acc | row for acc in table]
+    return table
 
 
 def max_column_weight(n: int, rows: tuple[int, ...]) -> int:

@@ -7,10 +7,13 @@ on it: ``explore`` here, the exponent search with boolean products as
 keys, and ``automata.subset_bfs``, the k-rendezvous and reset search with
 state subsets as keys.  At n <= 13 ``explore`` is a bucketed A* on the
 length plus a distance table over row sets (on kari it stores 7,606
-products; the semigroup has 832,573 of length up to the exponent); the
-other searches are level-order and keep each level's maximal keys, found
-with the byte-digit index ``_maximal``.  A child row is the ``row_image``
-of the parent row under the generator, memoized per generator.
+products; the semigroup has 832,573 of length up to the exponent).  The
+other searches are level-order: the subset search at n <= 13 stores every
+new subset of a level, its children read off per-letter preimage tables;
+past that, and for the exponent past n = 13, each level keeps its maximal
+keys, found with the byte-digit index ``_maximal``.  A child row is the
+``row_image`` of the parent row under the generator, memoized per
+generator.
 ``note_first_reach`` is the one first-reach recorder, shared by the subset
 search and the heuristic.  Keys are collected in discovery order with
 children in generator order, so the witness words are reproducible.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from operator import and_, getitem
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
-from .boolmat import BoolMatrix, MatrixSet, bits, row_image
+from .boolmat import BoolMatrix, MatrixSet, bits, row_image, row_image_table
 from .errors import DimensionError
 
 T = TypeVar("T")
@@ -40,7 +43,8 @@ EXACT_SEARCH_DIMENSION_CAP = 64
 # The exponent search's distance table has 2^n one-byte entries; past this
 # n the search is level-order with domination, without the bound.  Every
 # call builds the table first: at n = 13 that adds about 5 ms to a search
-# the bound does not help, at n = 16 about 60 ms.
+# the bound does not help, at n = 16 about 60 ms.  Past it the subset
+# search builds no preimage tables either.
 DISTANCE_TABLE_DIMENSION_CAP = 13
 # A table entry no word reaches; reached distances are clamped below it.
 UNREACHED = 255
@@ -80,9 +84,10 @@ def note_first_reach(
 @dataclass
 class LevelResult:
     """What a level-order search did and why it stopped: the nodes stored,
-    the dominated candidates dropped (``pruned``), the deepest level
-    stored, and either ``exhausted`` (no new node at the last level) or the
-    ``limit`` that cut it short ("depth" or "states")."""
+    the dominated candidates dropped (``pruned``, 0 on a search that tests
+    no domination), the deepest level stored, and either ``exhausted`` (no
+    new node at the last level) or the ``limit`` that cut it short ("depth"
+    or "states")."""
 
     n: int
     explored: int = 0
@@ -180,11 +185,13 @@ class LevelSearch:
 
     Without a ``distance`` the search is level-order.  A level's
     candidates are the children of the previous level not seen before, in
-    discovery order; all join ``seen``, but only the maximal ones are
-    stored, and ``result.pruned`` counts the rest.  ``digits(key)`` views a
-    key as byte-sized digits, as many for every key (a product's rows cut
-    into bytes, at n <= 8 its rows; a subset's mask bytes); A is dominated
-    by B when every set bit of A's digits is set in B's.  This is exact for
+    discovery order, and all join ``seen``.  With ``digits`` None every
+    candidate is stored, so level d holds every key first met at length d.
+    Otherwise only the maximal ones are stored, and ``result.pruned``
+    counts the rest.  ``digits(key)`` views a key as byte-sized digits, as
+    many for every key (a product's rows cut into bytes, at n <= 8 its
+    rows; a subset's mask bytes); A is dominated by B when every set bit of
+    A's digits is set in B's.  This is exact for
     every monotone target (the all-ones matrix, a subset of size k, the
     full subset): A <= B gives AW <= BW for every word W, so by induction on
     d every key of length d lies below a stored key of length <= d (the
@@ -214,7 +221,7 @@ class LevelSearch:
         result: LevelResult,
         m: int,
         child: Callable[[K, int], K],
-        digits: Callable[[K], Sequence[int]],
+        digits: Callable[[K], Sequence[int]] | None,
         roots: Iterable[tuple[K, int]],
         depth: int,
         max_depth: int | None,
@@ -256,41 +263,35 @@ class LevelSearch:
             node = self.parents[node]
         return tuple(reversed(out))
 
-    def _fresh(self, candidates: Iterable[tuple[K, int, int]]) -> list[tuple[K, int, int]]:
-        """The candidates whose key is new, in order; each of them joins
-        ``seen``."""
-        seen = self.seen
-        out = []
-        for cand in candidates:
-            key = cand[0]
-            if key not in seen:
-                seen.add(key)
-                out.append(cand)
-        return out
-
     def __iter__(self) -> Iterator[int]:
         return self._levels() if self.distance is None else self._buckets()
 
     def _levels(self) -> Iterator[int]:
         keys, child, result, m = self.keys, self.child, self.result, self.m
-        parents, letters = self.parents, self.letters
+        parents, letters, seen = self.parents, self.letters, self.seen
         depth = self.depth
-        level = self._fresh((key, -1, letter) for key, letter in self.roots)
+        level = []
+        for key, letter in self.roots:
+            if key not in seen:
+                seen.add(key)
+                level.append((key, -1, letter))
         while True:
             self.bound = depth
             if not level:
                 result.exhausted = True
                 return
-            survivors = _maximal(level, self.digits)
-            result.pruned += len(level) - len(survivors)
+            if self.digits is not None:
+                survivors = _maximal(level, self.digits)
+                result.pruned += len(level) - len(survivors)
+                level = survivors
             start = len(keys)
-            for key, parent, letter in survivors:
+            result.depth_reached = depth
+            for key, parent, letter in level:
                 node = len(keys)
                 keys.append(key)
                 parents.append(parent)
                 letters.append(letter)
                 result.explored = node + 1
-                result.depth_reached = depth
                 yield node
                 if result.explored >= self.max_states:
                     result.limit = "states"
@@ -300,11 +301,14 @@ class LevelSearch:
                 self.bound = depth + 1
                 return
             depth += 1
-            level = self._fresh(
-                (child(keys[parent], letter), parent, letter)
-                for parent in range(start, len(keys))
-                for letter in range(m)
-            )
+            level = []
+            for parent in range(start, len(keys)):
+                key = keys[parent]
+                for letter in range(m):
+                    fresh = child(key, letter)
+                    if fresh not in seen:
+                        seen.add(fresh)
+                        level.append((fresh, parent, letter))
 
     def _buckets(self) -> Iterator[int]:
         keys, child, distance, result, m = self.keys, self.child, self.distance, self.result, self.m
@@ -371,8 +375,8 @@ def subset_distances(mset: MatrixSet) -> bytearray | None:
     under a generator g being ``row_image(g.rows, S)``.
 
     One backward breadth-first search from the full set over all 2^n
-    subsets; each letter's image table is filled by doubling, the image of
-    S | bit j being the image of S OR row j.  Distances are clamped to
+    subsets, its preimage lists read off each generator's
+    ``row_image_table``.  Distances are clamped to
     ``UNREACHED - 1``, which keeps them antimonotone and consistent;
     ``UNREACHED`` marks a set no word takes to every state (always the
     empty one).  None past ``DISTANCE_TABLE_DIMENSION_CAP``.
@@ -383,10 +387,7 @@ def subset_distances(mset: MatrixSet) -> bytearray | None:
     full = (1 << n) - 1
     preimages: list[list[int]] = [[] for _ in range(full + 1)]
     for g in mset.generators:
-        image = [0]
-        for row in g.rows:
-            image += [acc | row for acc in image]
-        for subset, target in enumerate(image):
+        for subset, target in enumerate(row_image_table(g.rows)):
             preimages[target].append(subset)
     dist = bytearray([UNREACHED]) * (full + 1)
     dist[full] = 0

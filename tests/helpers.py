@@ -271,13 +271,10 @@ def exponent_search(mset: MatrixSet, max_depth: int):
     return stored, None, cut
 
 
-def subset_levels(
-    n: int, letters, depth: int | None = None
-) -> tuple[list[set[tuple[int]]], int]:
-    """``maximal_levels`` of the letter preimages of single states, as
-    1-row keys ``(mask,)``; level d holds subsets of length-d words.  The
-    preimage of S under a letter is the set of states whose row meets S,
-    read entry by entry."""
+def entry_preimages(n: int, letters):
+    """The preimages of a 1-row key ``(mask,)`` under each letter, as 1-row
+    keys: the states whose row of the letter meets the mask, read entry by
+    entry."""
 
     def preimages(key):
         (mask,) = key
@@ -287,7 +284,35 @@ def subset_levels(
             for letter in letters
         ]
 
-    return maximal_levels([(1 << q,) for q in range(n)], preimages, depth=depth)
+    return preimages
+
+
+def subset_levels(
+    n: int, letters, depth: int | None = None
+) -> tuple[list[set[tuple[int]]], int]:
+    """``maximal_levels`` of the letter preimages of single states, as
+    1-row keys ``(mask,)``; level d holds subsets of length-d words."""
+    roots = [(1 << q,) for q in range(n)]
+    return maximal_levels(roots, entry_preimages(n, letters), depth=depth)
+
+
+def plain_subset_levels(
+    n: int, letters, depth: int | None = None
+) -> list[set[tuple[int]]]:
+    """The letter preimages of single states by a plain breadth-first
+    search, as 1-row keys ``(mask,)``: level 0 holds the singletons and
+    level d every distinct preimage first met at length d, none dropped
+    for lying inside another.  Stops at the first empty level, or once it
+    holds ``depth`` levels."""
+    preimages = entry_preimages(n, letters)
+    level = {(1 << q,) for q in range(n)}
+    seen = set(level)
+    levels = []
+    while level and len(levels) != depth:
+        levels.append(level)
+        level = {c for key in level for c in preimages(key) if c not in seen}
+        seen |= level
+    return levels
 
 
 def stored_levels(search) -> list[set]:

@@ -9,6 +9,7 @@ from rendezvous import (
     MatrixSet,
     NotPrimitiveError,
     associated_automaton,
+    automata,
     cpr_set,
     example_set,
     kari_set,
@@ -26,6 +27,7 @@ from helpers import (
     random_automaton,
     random_nz_set,
     random_primitive_set,
+    recorded_searches,
     undeduplicated_profile,
 )
 
@@ -151,6 +153,42 @@ class TestSubsetBfs:
             reset = subset_bfs(aut.n, aut.letters).reset
             assert (reset and reset.length) == forward_reset_threshold(aut)
             checked += 1
+
+    def test_preimage_tables_only_within_the_entry_cap(self, monkeypatch):
+        # At n = 13 the tables of 8 letters hold 65,536 entries, the cap,
+        # and those of 9 do not, so an automaton with thousands of letters
+        # is never tabulated.  A pair of generators at n = 13 and the
+        # builtins' automaton letters are.  The other path, forced by the
+        # cap, gives every rt_k and the reset at the same length.
+        assert automata.SUBSET_TABLE_ENTRIES_CAP == 8 << 13
+        rng = random.Random(37)
+        cases = [
+            (random_automaton(rng, 13, 8).letters, True),
+            (random_automaton(rng, 13, 9).letters, False),
+            (random_nz_set(rng, 13, 2).generators, True),
+        ]
+        for mset in (example_set(), cpr_set(), kari_set()):
+            for source in (mset, mset.transposed()):
+                cases.append((associated_automaton(source).letters, True))
+
+        def lengths(result):
+            reset = result.reset and result.reset.length
+            return {k: entry.length for k, entry in result.krt.items()}, reset
+
+        for letters, tabulated in cases:
+            n = letters[0].n
+            with recorded_searches() as searches:
+                result = subset_bfs(n, letters, max_depth=12)
+            (search,) = searches
+            assert (search.digits is None) == tabulated
+            if tabulated:
+                assert result.pruned == 0
+            with monkeypatch.context() as patched:
+                patched.setattr(automata, "SUBSET_TABLE_ENTRIES_CAP", 0 if tabulated else 9 << 13)
+                with recorded_searches() as searches:
+                    other = subset_bfs(n, letters, max_depth=12)
+            assert (searches[0].digits is None) != tabulated
+            assert lengths(other) == lengths(result)
 
 
 class TestSetProfile:

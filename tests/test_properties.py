@@ -66,6 +66,7 @@ from helpers import (
     maximal,
     oracle_path,
     pair_distances_oracle,
+    plain_subset_levels,
     product_distance,
     exponent_search,
     product_levels,
@@ -348,12 +349,6 @@ def test_explore_stores_a_dominating_part_of_the_closure(mset):
         assert result.exponent is not None and ones in closure
 
 
-def assert_antichains(levels):
-    for level in levels:
-        for a in level:
-            assert not any(b != a and entry_leq(a, b) for b in level)
-
-
 def assert_search_matches_the_oracle(mset, searches, result, max_depth):
     """At n <= 13 ``explore`` starts one search, a bucketed A*, on a
     primitive set and none on another, and it stores what
@@ -403,16 +398,30 @@ def test_explore_under_a_depth_limit_matches_the_oracle(mset, depth):
     assert_search_matches_the_oracle(mset, searches, result, depth)
 
 
+def first_reaches(levels) -> dict[int, int]:
+    """k -> the first of the subset levels holding k or more states."""
+    out: dict[int, int] = {}
+    for d, level in enumerate(levels):
+        for k in range(1, max(mask.bit_count() for (mask,) in level) + 1):
+            out.setdefault(k, d)
+    return out
+
+
 @PROPERTY
 @given(automata())
 def test_subset_bfs_levels_are_the_maximal_levels_of_the_oracle(aut):
+    # Up to 5 states and 3 letters the search is tabulated: it stores every
+    # preimage at its shortest length, prunes none, and so holds k or more
+    # states first at the level where the maximal-levels oracle does.
     with recorded_searches() as searches:
         result = subset_bfs(aut.n, aut.letters)
-    levels = stored_levels(searches[0])
-    assert_antichains(levels)
-    oracle, met = subset_levels(aut.n, aut.letters)
-    assert levels == oracle
-    assert result.pruned == met - result.explored
+    (search,) = searches
+    assert search.digits is None and result.pruned == 0
+    levels = stored_levels(search)
+    assert_levels_match(
+        levels, plain_subset_levels(aut.n, aut.letters), result.reset is not None)
+    oracle, _ = subset_levels(aut.n, aut.letters)
+    assert first_reaches(levels) == first_reaches(oracle)
 
 
 def assert_levels_match(levels, oracle, stopped_at_target):
@@ -453,15 +462,25 @@ def test_explore_levels_past_the_table_cap_match_the_oracle(mset, depth):
         assert result.lower_bound == depth + 1
 
 
+# Up to 3 letters the search is tabulated at n <= 13 and stores the plain
+# levels; past n = 13 it keeps the maximal ones, read from the mask bytes.
 @settings(PROPERTY, max_examples=30)
 @given(automata(min_n=9, max_n=17), st.integers(1, 3))
 def test_subset_bfs_levels_past_one_byte_match_the_oracle(aut, depth):
     with recorded_searches() as searches:
         result = subset_bfs(aut.n, aut.letters, max_depth=depth)
-    oracle, met = subset_levels(aut.n, aut.letters, depth + 1)
-    assert_levels_match(stored_levels(searches[0]), oracle, result.reset is not None)
-    if result.reset is None:
-        assert result.pruned == met - result.explored
+    (search,) = searches
+    levels = stored_levels(search)
+    stopped = result.reset is not None
+    if aut.n <= DISTANCE_TABLE_DIMENSION_CAP:
+        assert search.digits is None and result.pruned == 0
+        assert_levels_match(levels, plain_subset_levels(aut.n, aut.letters, depth + 1), stopped)
+    else:
+        assert search.digits is not None
+        oracle, met = subset_levels(aut.n, aut.letters, depth + 1)
+        assert_levels_match(levels, oracle, stopped)
+        if not stopped:
+            assert result.pruned == met - result.explored
 
 
 @st.composite
