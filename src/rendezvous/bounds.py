@@ -16,12 +16,13 @@ Two bound families are computed, both exact rationals:
 
 Each recurrence has one implementation.  The lift DP (``_lift_columns``)
 is one loop over h that fills a call's columns, one per k, from the
-crossing of their two routes, building the blocks of p of each h only as
-far as a crossing needs; a column reads no other column.  ``bound_f``
-builds only the column it reads.  Tables over many k read the lift grid,
-cached for the last n only (``_lift_grid``), and the B recursion is one
-table per variant of integers over one denominator D, grown on demand for
-the last n only (``_b_table``); so a table builds each column once.
+crossing of their two routes (column h+1 in closed form), building the
+blocks of p of each h only as far as a crossing needs; a column reads no
+other column.  ``bound_f`` builds only the column it reads.  Tables over
+many k read the lift grid, cached for the last n only (``_lift_grid``),
+and the B recursion is one table per variant of integers over one
+denominator D, grown on demand for the last n only (``_b_table``); so a
+table builds each column once.
 D = 2 lcm(isqrt(n), ..., min(k_max, n//2) - 1) for the largest k_max
 asked of n so far, so a table that stays below the middle regime computes
 no lcm at all.
@@ -291,24 +292,38 @@ def _lift_columns(n: int, first: int, k_max: int) -> list[list[int]]:
 
     A column reads only its own entries and the blocks of h, never another
     column, so columns are independent.  One loop runs h down from
-    k_max - 1 over every column k > h of the call; the blocks of h are
-    built on demand, when some column's walk passes the last one built, and
-    shared by those columns.  Each walk searches its crossing forward from
-    block 0, and the crossing's mean block index is 1.2 to 1.9 over whole
-    grids at n = 120, 200 and 1000 and over fig8's grids, so an h builds a
-    few of its O(sqrt(n-h)) blocks and a column costs O(k) steps.
+    k_max - 1 over every column k > h of the call, with two shortcuts:
+
+    5. Column h + 1 is closed: G(h+p) = 0 for every p, so J_p = n(n-1)
+       and, by 2, G(h) = min(n(n-1), S_top) with top = min(h, n-h).
+    6. Every walk starts at block 1.  Block 0 (p = 1) lands on h + 1 with
+       a_1 = n - h, so it crosses (G(h+1) <= G(h+1) + n(2 - a_1)) only
+       when a_1 <= 2; a walked column has k >= h + 2, so a_1 >= 2.  At
+       a_1 = 2, J = S at block 0 and every later block crosses, so the
+       walk from block 1 gives max(J_1, S_0) = S_0 = G(h).
+
+    The blocks of h are built on demand, when some other column's walk
+    passes the last one built, and shared by those columns.  Each walk
+    searches its crossing forward, and over those columns the crossing's
+    mean block index is 1.1 to 1.2 on whole grids at n = 120, 200 and 1000
+    and 1.5 on fig8's grids.  So an h builds a few of its O(sqrt(n-h))
+    blocks and a column costs O(k) steps: fig8's 194 grids at n_max = 200
+    (k_max = min(50, n)) build 20,822 blocks in 274,308 walk steps (passes
+    of the walk loop), against 94,826 and 562,632 without 5 and 6.
     """
     e2 = n * (n - 1)
     columns = [[0] * (2 * k) for k in range(first, k_max + 1)]  # h + p <= 2h reads zeros past k
     for h in range(k_max - 1, 1, -1):
         rest, floor = n - h, max(n - h * (h - 1) - 1, 1)
         top = min(h, rest)
+        if h + 1 >= first:
+            columns[h + 1 - first][h] = min(e2, n * (n + 1 - _escape_rate(n, h, top)))
         # Per block: h + p at its start (where its jump lands) and n(2 - a_p),
         # so that J <= S reads G(h+p) <= G(h+1) + n(2 - a_p); a is the last's a_p.
-        a = max(floor, rest)
+        a = rest  # a_1
         lands, gaps = [h + 1], [n * (2 - a)]
-        for col in columns[max(h + 1 - first, 0) :]:
-            base, j = col[h + 1], 0
+        for col in columns[max(h + 2 - first, 0) :]:
+            base, j = col[h + 1], 1
             while True:
                 if j == len(lands):
                     if a == floor or (p := _ceildiv(rest, a - 1)) > top:
@@ -319,7 +334,7 @@ def _lift_columns(n: int, first: int, k_max: int) -> list[list[int]]:
                 if col[lands[j]] <= base + gaps[j]:
                     break
                 j += 1
-            if j < len(lands) and (not j or col[lands[j]] >= base + gaps[j - 1]):
+            if j < len(lands) and col[lands[j]] >= base + gaps[j - 1]:
                 col[h] = col[lands[j]] + e2
             else:
                 col[h] = base + gaps[j - 1] + e2
@@ -361,8 +376,9 @@ def _f_min(denom: int, b_values: list[int], lifts: list[int], k: int) -> tuple[F
     ``b_values`` and ``denom`` come from ``_b_table``, and ``lifts[h]`` is
     the doubled lift cost from lift column k."""
     half = denom // 2
-    best, arg = min((b_values[h - 2] + lifts[h] * half, h) for h in range(2, k + 1))
-    return Fraction(best, denom), arg
+    totals = [b + lift * half for b, lift in zip(b_values, lifts[2 : k + 1])]
+    best = min(totals)
+    return Fraction(best, denom), totals.index(best) + 2
 
 
 def bound_f(n: int, k: int) -> tuple[Fraction, int]:
@@ -431,9 +447,10 @@ def scan_conjectures(n_values, k_values) -> ScanReport:
         if not usable:
             continue
         table = bound_f_table(n, max(usable))
+        denom, b_values = _b_table(n, max(usable), False)  # built by bound_f_table
         for k in usable:
             f_value, arg = table[k]
-            cells[(n, k)] = ScanCell(f_value, bound_b_recursive(n, k), arg)
+            cells[(n, k)] = ScanCell(f_value, Fraction(b_values[k - 2], denom), arg)
     thresholds: dict[int, int | None] = {}
     for k in ks:
         scanned = [n for n in ns if (n, k) in cells]

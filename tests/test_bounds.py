@@ -331,6 +331,14 @@ class TestLiftBound:
             j = 2 + n * 13 % (n - 2)  # a split in [2, n-1] that varies with n
             assert _lift_columns(n, 2, j) + _lift_columns(n, j + 1, n) == expected, (n, j)
 
+    def test_fig8_shaped_grids_match_scalar_oracle(self):
+        # fig8 builds grids with n far above k_max, where block 0 never
+        # crosses; one call and a call split at first = 26.
+        for n in (120, 200, 1000):
+            expected = [[0, 0] + lift_table_oracle(n, k) for k in range(2, 51)]
+            assert _lift_columns(n, 2, 50) == expected, n
+            assert _lift_columns(n, 2, 25) + _lift_columns(n, 26, 50) == expected, n
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lift_bound(10, 3, 1)
@@ -411,6 +419,18 @@ class TestScan:
     def test_argmin_tracking(self):
         report = scan_conjectures(range(21, 31), [4])
         assert [cell.argmin_h for cell in report.cells.values()] == [2] * 10
+
+    def test_cells_match_oracles_when_the_b_denominator_widens(self):
+        # A B table for n = 100 cached at D = 2 widens when the scan reaches
+        # k = 40, past isqrt(100); every cell reads B from the scan's tables.
+        _B_TABLES.clear()
+        assert _b_table(100, 5, False)[0] == 2
+        report = scan_conjectures(range(100, 116), (3, 8, 13, 40))
+        assert _B_TABLES[115][0] > 2
+        assert len(report.cells) == 64
+        for (n, k), cell in report.cells.items():
+            assert cell.b_value == bound_b_closed(n, k), (n, k)
+            assert (cell.f_value, cell.argmin_h) == bound_f_oracle(n, k), (n, k)
 
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):

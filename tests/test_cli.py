@@ -646,8 +646,9 @@ def test_optimized_interpreter_prints_the_same(argv):
     assert plain.stdout and optimized.stdout == plain.stdout
 
 
-# sha256 of the stdout these commands gave with the earlier numpy lift grid:
-# the tables must stay byte for byte what that implementation printed.
+# sha256 of the stdout these commands gave with the earlier numpy lift grid
+# (the last three: with the pure-Python grid before column h + 1 was closed):
+# the tables must stay byte for byte what those implementations printed.
 RECORDED_BOUND_TABLES = [
     (("bounds", "--n", "300"),
      "109bad3c898753d11013b832e097d36dc9eb8437b5e06366036032042fafe86e"),
@@ -663,6 +664,12 @@ RECORDED_BOUND_TABLES = [
      "c1aff9506133ca2dae986d3e2f1c90908aceffffa96ffcf4c908296ed3aea83e"),
     (("figure", "fig7", "--k", "9", "--n-max", "150"),
      "30a51140ae4a6192f6bbb08577ebf87b21a9f6f318c6cd35b94c3c7359d6ce84"),
+    (("figure", "fig8", "--n-max", "200"),
+     "8450f83f4d88a8186a341561d8007d05b4bfa150853565650fae6b28e613aa1c"),
+    (("bounds", "--n", "1000"),
+     "8a2403b2d6ecc6537d8dbe88e6b17791cd2af29c2bdeddc7d82ea08c54ec7525"),
+    (("scan", "--n-max", "300", "--k-max", "40"),
+     "0f4eca1a806e1b14e7900a4c031be9a0ba4ee41978265c50344c19f62413dc7f"),
 ]
 
 
