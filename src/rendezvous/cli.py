@@ -86,7 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="NZ / irreducibility / primitivity with certificate")
     _add_set_source(p)
 
-    p = sub.add_parser("exponent", help="exact exponent by semigroup BFS")
+    p = sub.add_parser(
+        "exponent",
+        help="exact exponent by a bounded A* over the semigroup (a level search past n = 13)",
+    )
     _add_set_source(p)
     _add_limits(p)
 

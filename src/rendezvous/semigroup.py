@@ -5,13 +5,15 @@ keys, parent pointers and letters, the witness words, the dimension,
 depth and state limits and the exhaustion test.  Both exact searches run
 on it: ``explore`` here, the exponent search with boolean products as
 keys, and ``automata.subset_bfs``, the k-rendezvous and reset search with
-state subsets as keys.  At n <= 13 ``explore`` is a bucketed A* on the
-length plus a distance table over row sets (on kari it stores 7,606
-products; the semigroup has 832,573 of length up to the exponent).  The
-other searches are level-order: the subset search at n <= 13 stores every
-new subset of a level, its children read off per-letter preimage tables;
-past that, and for the exponent past n = 13, each level keeps its maximal
-keys, found with the byte-digit index ``_maximal``.  A child row is the
+state subsets as keys.  Its one loop is a bucketed A* on the length plus
+a distance, ``met`` holding each key's shortest level; with distance 0 it
+is level-order.  At n <= 13 ``explore`` reads the distance off a table
+over row sets (on kari it stores 7,606 products; the semigroup has
+832,573 of length up to the exponent).  The other searches are
+level-order: the subset search at n <= 13 stores every new subset of a
+level, its children read off per-letter preimage tables; past that, and
+for the exponent past n = 13, each level keeps its maximal keys, found
+with the byte-digit index ``_maximal``.  A child row is the
 ``row_image`` of the parent row under the generator, memoized per
 generator.
 ``note_first_reach`` is the one first-reach recorder, shared by the subset
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,7 +86,7 @@ def note_first_reach(
 
 @dataclass
 class LevelResult:
-    """What a level-order search did and why it stopped: the nodes stored,
+    """What a ``LevelSearch`` did and why it stopped: the nodes stored,
     the dominated candidates dropped (``pruned``, 0 on a search that tests
     no domination), the deepest level stored, and either ``exhausted`` (no
     new node at the last level) or the ``limit`` that cut it short ("depth"
@@ -177,37 +180,36 @@ class LevelSearch:
     each stored node, roots first, reached by a shortest word; the caller
     breaks to stop.  ``result`` records the nodes stored, the deepest level
     stored and why the search stopped by itself: no key was left to store
-    (``exhausted``), or it would pass ``max_depth`` or has stored
-    ``max_states`` keys (``limit``).  ``bound`` then bounds f from below
-    over the keys not stored: the f being taken at a state cut, the least
-    f past ``max_depth`` at a depth cut, f = d + distance(key) at the
-    key's shortest length d (f = d without a ``distance``).
+    (``exhausted``, at ``max_depth`` too when no key waits past it), or a
+    key waits past ``max_depth`` or ``max_states`` keys are stored
+    (``limit``).  ``bound`` then bounds f from below over the keys
+    not stored: the f being taken at a state cut, the least f past
+    ``max_depth`` at a depth cut, f = d + distance(key) at the key's
+    shortest length d.
 
-    Without a ``distance`` the search is level-order.  A level's
-    candidates are the children of the previous level not seen before, in
-    discovery order, and all join ``seen``.  With ``digits`` None every
-    candidate is stored, so level d holds every key first met at length d.
-    Otherwise only the maximal ones are stored, and ``result.pruned``
-    counts the rest.  ``digits(key)`` views a key as byte-sized digits, as
-    many for every key (a product's rows cut into bytes, at n <= 8 its
-    rows; a subset's mask bytes); A is dominated by B when every set bit of
-    A's digits is set in B's.  This is exact for
-    every monotone target (the all-ones matrix, a subset of size k, the
-    full subset): A <= B gives AW <= BW for every word W, so by induction on
-    d every key of length d lies below a stored key of length <= d (the
-    same letter's child of the key above its parent is a root or a
-    candidate of a level <= d, and lies below a stored one), and the top
-    key dominates every other one.
+    The search is a bucketed A*; ``distance`` must be consistent
+    (distance(A) <= 1 + distance(child(A, a))), and without one it is 0,
+    so f = d and the search is level-order.  A key met at level d waits in
+    bucket f at level d, and ``met`` maps it to the shortest level it has
+    waited at: a child waits only when it beats that level.  Buckets are
+    taken in rising f, each in rising level; an entry whose key has since
+    been met shorter is skipped, the others are stored and their children
+    wait.  f never falls along a word, and a prefix of a shortest word is
+    one, so every key of f <= F is stored at its shortest length before
+    bucket F + 1 is taken.  In level order no key is met shorter once met,
+    so level d holds every key first met at length d, in discovery order.
 
-    With a ``distance``, consistent (distance(A) <= 1 + distance(child(A,
-    a))), the search is a bucketed A* without domination.  A key met at
-    level d waits in bucket f at level d, deduplicated in insertion order,
-    without joining ``seen``: a later parent may meet it at a shorter
-    level.  Buckets are taken in rising f, each in rising level; a key in
-    ``seen`` is skipped, the others are stored, join ``seen`` and have
-    their children wait.  f never falls along a word, and a prefix of a
-    shortest word is one, so every key of f <= F is stored at its shortest
-    length before bucket F + 1 is taken.
+    With ``digits`` only the maximal keys of a level are stored, and
+    ``result.pruned`` counts the rest; callers pass it in level order
+    only.  ``digits(key)`` views a key as byte-sized digits, as many for
+    every key (a product's rows cut into bytes; a subset's mask bytes); A
+    is dominated by B when every set bit of A's digits is set in B's.
+    This is exact for every monotone target (the all-ones matrix, a subset
+    of size k, the full subset): A <= B gives AW <= BW for every word W,
+    so by induction on d every key of length d lies below a stored key of
+    length <= d (the same letter's child of the key above its parent is a
+    root or a met key of a level <= d, and lies below a stored one), and
+    the top key dominates every other one.
 
     Every exact search obeys the limits set here before any key is stored:
     ``result.n`` at most ``EXACT_SEARCH_DIMENSION_CAP`` (else
@@ -245,7 +247,7 @@ class LevelSearch:
         self.keys: list[K] = []
         self.parents: list[int] = []
         self.letters: list[int] = []
-        self.seen: set[K] = set()
+        self.met: dict[K, int] = {}
         self.bound = depth
 
     @staticmethod
@@ -264,28 +266,52 @@ class LevelSearch:
         return tuple(reversed(out))
 
     def __iter__(self) -> Iterator[int]:
-        return self._levels() if self.distance is None else self._buckets()
-
-    def _levels(self) -> Iterator[int]:
-        keys, child, result, m = self.keys, self.child, self.result, self.m
-        parents, letters, seen = self.parents, self.letters, self.seen
+        keys, parents, letters, met = self.keys, self.parents, self.letters, self.met
+        child, distance, digits, result = self.child, self.distance, self.digits, self.result
+        m, max_depth, max_states = self.m, self.max_depth, self.max_states
+        # (f, d) -> the (key, parent, letter) entries waiting in bucket f at
+        # level d, each in the order it was met; ``order`` heaps the pairs.
+        waiting: dict[tuple[int, int], list[tuple[K, int, int]]] = {}
+        order: list[tuple[int, int]] = []
         depth = self.depth
-        level = []
+        born = []
         for key, letter in self.roots:
-            if key not in seen:
-                seen.add(key)
-                level.append((key, -1, letter))
+            if key not in met:
+                met[key] = depth
+                born.append((key, -1, letter))
         while True:
-            self.bound = depth
-            if not level:
-                result.exhausted = True
-                return
-            if self.digits is not None:
-                survivors = _maximal(level, self.digits)
+            # The entries born at ``depth`` wait, each in its bucket f.
+            groups = {depth: born}
+            if distance is not None:
+                groups = {}
+                for entry in born:
+                    groups.setdefault(depth + distance(entry[0]), []).append(entry)
+            for f, group in groups.items():
+                pair = (f, depth)
+                if pair in waiting:
+                    waiting[pair] += group
+                elif group:
+                    waiting[pair] = group
+                    heapq.heappush(order, pair)
+            if not order or order[0][0] > max_depth:
+                break
+            f, depth = heapq.heappop(order)
+            self.bound = f
+            level = waiting.pop((f, depth))
+            born = []
+            if distance is not None:
+                # Skip the entries whose keys were met shorter since;
+                # without a distance no key is.
+                level = [entry for entry in level if met[entry[0]] == depth]
+                if not level:
+                    continue
+            if digits is not None:
+                survivors = _maximal(level, digits)
                 result.pruned += len(level) - len(survivors)
                 level = survivors
             start = len(keys)
-            result.depth_reached = depth
+            if depth > result.depth_reached:
+                result.depth_reached = depth
             for key, parent, letter in level:
                 node = len(keys)
                 keys.append(key)
@@ -293,65 +319,20 @@ class LevelSearch:
                 letters.append(letter)
                 result.explored = node + 1
                 yield node
-                if result.explored >= self.max_states:
+                if result.explored >= max_states:
                     result.limit = "states"
                     return
-            if depth >= self.max_depth:
-                result.limit = "depth"
-                self.bound = depth + 1
-                return
             depth += 1
-            level = []
             for parent in range(start, len(keys)):
                 key = keys[parent]
                 for letter in range(m):
                     fresh = child(key, letter)
-                    if fresh not in seen:
-                        seen.add(fresh)
-                        level.append((fresh, parent, letter))
-
-    def _buckets(self) -> Iterator[int]:
-        keys, child, distance, result, m = self.keys, self.child, self.distance, self.result, self.m
-        parents, letters, seen = self.parents, self.letters, self.seen
-        # f -> level d -> key -> (parent, letter), each in insertion order.
-        waiting: dict[int, dict[int, dict[K, tuple[int, int]]]] = {}
-
-        def wait(key: K, parent: int, letter: int, depth: int) -> None:
-            f = depth + distance(key)
-            waiting.setdefault(f, {}).setdefault(depth, {}).setdefault(key, (parent, letter))
-
-        for key, letter in self.roots:
-            wait(key, -1, letter, self.depth)
-        while waiting and min(waiting) <= self.max_depth:
-            self.bound = min(waiting)
-            bucket = waiting[self.bound]
-            while bucket:
-                depth = min(bucket)
-                start = len(keys)
-                for key, (parent, letter) in bucket.pop(depth).items():
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    node = len(keys)
-                    keys.append(key)
-                    parents.append(parent)
-                    letters.append(letter)
-                    result.explored = node + 1
-                    result.depth_reached = max(result.depth_reached, depth)
-                    yield node
-                    if result.explored >= self.max_states:
-                        result.limit = "states"
-                        return
-                for parent in range(start, len(keys)):
-                    for letter in range(m):
-                        key = child(keys[parent], letter)
-                        if key not in seen:
-                            wait(key, parent, letter, depth + 1)
-            del waiting[self.bound]
-        # Every key left waits past max_depth; the least f of one never
-        # stored bounds the target's.
-        cut = [f for f, levels in waiting.items() if any(
-            key not in seen for level in levels.values() for key in level)]
+                    if fresh not in met or (distance is not None and met[fresh] > depth):
+                        met[fresh] = depth
+                        born.append((fresh, parent, letter))
+        # Every entry left waits past max_depth; the least f of one whose key
+        # was not met shorter since bounds the target's.
+        cut = [f for (f, d), level in waiting.items() if any(met[key] == d for key, _, _ in level)]
         if cut:
             result.limit = "depth"
             self.bound = min(cut)
@@ -437,7 +418,7 @@ def explore(
     LevelSearch.check_limits(max_depth, max_states)
     result = SearchResult(n=n)
     dist = subset_distances(mset)
-    distance = None
+    distance = digits = None
     if dist is not None:
         singles = [dist[1 << i] for i in range(n)]
         if UNREACHED in singles:
@@ -448,13 +429,11 @@ def explore(
         # Every product has length at least 1, even at n = 1 where
         # delta({0}) = 0.
         result.lower_bound = max(1, *singles)
+    else:
+        row_bytes = (n + 7) // 8
+        digits = lambda key: b"".join([row.to_bytes(row_bytes, "little") for row in key])
     ones = ((1 << n) - 1,) * n
     images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
-    # Digits are bytes, so at n <= 8 a key (a tuple of rows) is its own digits.
-    row_bytes = (n + 7) // 8
-    digits = (lambda key: key) if n <= 8 else lambda key: b"".join(
-        [row.to_bytes(row_bytes, "little") for row in key]
-    )
     search = LevelSearch(
         result,
         mset.m,

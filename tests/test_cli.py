@@ -405,6 +405,8 @@ SPARSE08 = str(DATA / "sparse08.set")
 SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets it
 # Reducible, yet every pair reaches (0, 0), the heuristic's seed singleton.
 LOWER = str(DATA / "lower.set")
+# One generator whose state 2 has an edge to itself only: a reducible set.
+REDUCIBLE3 = str(DATA / "reducible3.set")
 # One generator a = I + P at n = 13, P the cyclic shift: rows of weight 2, so
 # 2^13 = 8,192 raw letters on each side, and rt_k = k - 1 for every k.
 HEAVY = str(DATA / "heavy13.set")
@@ -550,6 +552,13 @@ def shift_automaton_text(title: str, label: str, step: int, n: int = 13) -> str:
          "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
         (("exponent", "--file", LOWER), 0,
          "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
+        # A depth cut whose next level holds no new subset is an exhaustion,
+        # not a limit: the transpose side stores its last subset at length 2.
+        (("automata", "rt", "--file", REDUCIBLE3, "--max-depth", "2"), 0,
+         "aut: rt=2 word=M12,M12\naut_T: not-synchronizing\n", ""),
+        (("automata", "krt", "--file", REDUCIBLE3, "--max-depth", "2"), 1, "",
+         "not-primitive: automaton rt_3 not reached: the search exhausted, "
+         "so the set is not primitive\n"),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):

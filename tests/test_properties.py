@@ -1,7 +1,9 @@
 """Property tests, mostly for n in [1, 5]: the weight kernel (up to n = 130,
-past one machine word) and the row-image kernel, the shared level-order
-search behind ``explore`` and ``subset_bfs`` (its stored levels are the
-maximal levels of a pairwise oracle), the set profile and the sandwich
+past one machine word) and the row-image kernel, the one search behind
+``explore`` and ``subset_bfs`` (its stored levels are the maximal levels
+of a pairwise oracle, its level order is its A* with distance 0, and on a
+consistent distance it stores the keys of a breadth-first oracle within
+the depth cut), the set profile and the sandwich
 built on them, the pair-digraph BFS and the primitivity certificate (n up
 to 9), primitivity decided by the BFS to one singleton, the heuristic's
 per-k prefix lengths (n up to 8, transposes included), the set-file round
@@ -52,6 +54,8 @@ from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
 from rendezvous.semigroup import (
     DISTANCE_TABLE_DIMENSION_CAP,
     UNREACHED,
+    LevelResult,
+    LevelSearch,
     _maximal,
     subset_distances,
 )
@@ -396,6 +400,112 @@ def test_explore_under_a_depth_limit_matches_the_oracle(mset, depth):
     with recorded_searches() as searches:
         result = explore(mset, max_depth=depth)
     assert_search_matches_the_oracle(mset, searches, result, depth)
+
+
+@st.composite
+def level_searches(draw):
+    """What a ``LevelSearch`` over subsets needs: n, the letters as bit-row
+    matrices, and the roots, drawn with repeats and letter -1 among them."""
+    n = draw(st.integers(1, 8))
+    letters = draw(st.lists(matrices(n), min_size=1, max_size=3))
+    root = st.tuples(st.integers(0, (1 << n) - 1), st.integers(-1, len(letters) - 1))
+    return n, letters, draw(st.lists(root, min_size=1, max_size=4))
+
+
+def run_level_search(case, depth, max_depth, max_states, digits, distance):
+    """A ``LevelSearch`` over the subsets of ``case``, iterated to its end."""
+    n, letters, roots = case
+    search = LevelSearch(
+        LevelResult(n=n), len(letters), lambda mask, a: row_image(letters[a].rows, mask),
+        digits, roots, depth, max_depth, max_states, distance,
+    )
+    assert all(node == len(search.keys) - 1 for node in search)
+    return search
+
+
+@PROPERTY
+@given(
+    level_searches(),
+    st.integers(0, 2),
+    st.none() | st.integers(1, 6),
+    st.none() | st.integers(1, 60),
+    st.booleans(),
+)
+def test_level_order_is_the_search_with_distance_zero(
+    case, depth, max_depth, max_states, dominate
+):
+    # Without a distance the search is the A* with f = d: both store the
+    # same keys, parents and letters in the same order and stop alike.
+    # Without a depth limit the search stores the same keys first, and more
+    # exactly when a depth cut was reported, not an exhaustion.
+    size = (case[0] + 7) // 8
+    digits = (lambda mask: mask.to_bytes(size, "little")) if dominate else None
+
+    def run(distance, max_depth):
+        search = run_level_search(case, depth, max_depth, max_states, digits, distance)
+        r = search.result
+        return (search.keys, search.parents, search.letters, r.explored, r.pruned,
+                r.depth_reached, r.exhausted, r.limit, search.bound)
+
+    level_order = run(None, max_depth)
+    assert run(lambda mask: 0, max_depth) == level_order
+    _, _, _, explored, _, _, exhausted, limit, _ = level_order
+    deeper = run(None, None)
+    assert all(stored[:explored] == part for stored, part in zip(deeper, level_order[:3]))
+    if limit != "states":
+        assert exhausted == (limit is None)
+        assert exhausted == (len(deeper[0]) == explored)
+
+
+REMET = (6, [BoolMatrix(6, (0, 0, 0, 0, 0, 1))] * 2, [(2, 0), (32, 0)])
+
+
+@PROPERTY
+@given(level_searches(), st.integers(0, 255), st.none() | st.integers(1, 8))
+# With target {0}, the empty subset first waits at level 2 (f = 4), as the
+# image of {0}, then at level 1 (f = 3), as the image of the root {1},
+# whose f is larger than {0}'s.  Under max_depth 3 the stale entry is all
+# that waits past the cut.
+@example(REMET, 1, None)
+@example(REMET, 1, 3)
+def test_search_with_a_distance_stores_each_key_once_at_its_shortest_length(
+    case, target, max_depth
+):
+    # The distance to a target subset is consistent, yet a key may first
+    # wait at a longer level than its shortest and be met shorter later.
+    # The search stores exactly the keys of f = d + h within max_depth,
+    # each once at its shortest length d, in rising f; a depth cut names
+    # the least f of the keys past it.
+    n, letters, roots = case
+    subsets = range(1 << n)
+    target %= 1 << n
+    image = [[row_image(g.rows, mask) for g in letters] for mask in subsets]
+    to_target, d = {target: 0}, 0
+    while more := [mask for mask in subsets if mask not in to_target
+                   and any(c in to_target for c in image[mask])]:
+        d += 1
+        to_target.update(dict.fromkeys(more, d))
+    far = d + 1
+    h = lambda mask: to_target.get(mask, far)
+    shortest, level, d = {}, {mask for mask, _ in roots}, 0
+    while level:
+        shortest.update(dict.fromkeys(level, d))
+        level, d = {c for mask in level for c in image[mask] if c not in shortest}, d + 1
+    f_of = {key: length + h(key) for key, length in shortest.items()}
+    cap = max(f_of.values()) if max_depth is None else max_depth
+    search = run_level_search(case, 0, max_depth, None, None, h)
+    lengths = []
+    for parent in search.parents:
+        lengths.append(0 if parent < 0 else lengths[parent] + 1)
+    assert sorted(search.keys) == sorted(key for key, f in f_of.items() if f <= cap)
+    assert lengths == [shortest[key] for key in search.keys]
+    f = [f_of[key] for key in search.keys]
+    assert f == sorted(f)
+    past = [f for f in f_of.values() if f > cap]
+    assert search.result.exhausted == (not past)
+    assert search.result.limit == ("depth" if past else None)
+    if past:
+        assert search.bound == min(past)
 
 
 def first_reaches(levels) -> dict[int, int]:
