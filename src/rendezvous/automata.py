@@ -11,13 +11,16 @@ j of A_{w1}...A_{wd} is pre_{w1}(...pre_{wd}({j})).  So the first level of
 preimages of singletons holding a subset of size k is the length of the
 shortest product with a weight-k column; on an automaton's letters, of the
 shortest word mapping k states onto one.  The search is
-``semigroup.LevelSearch`` with subsets as keys.  At n <= 13, when the
-letters' preimage tables (``row_image_table`` of each transpose) hold at
-most ``SUBSET_TABLE_ENTRIES_CAP`` entries in all, a child is one table
-entry and every new subset is stored.  Otherwise a child is a
-``row_image`` and each level keeps only its maximal new subsets, viewed as
-the bytes of their masks, which is exact since S within T implies
-pre_a(S) within pre_a(T).
+``semigroup.LevelSearch`` with subsets as keys, expanded a level at a
+time.  At n <= 13, when the letters' preimage tables (``row_image_table``
+of each transpose) hold at most ``SUBSET_TABLE_ENTRIES_CAP`` entries in
+all, a level's children are one list of table entries and every new
+subset is stored.  Otherwise a child is a ``row_image`` and each level
+keeps only its maximal new subsets, viewed as the bytes of their masks,
+which is exact since S within T implies pre_a(S) within pre_a(T).  A
+stored level is weighed in one pass, and its subsets are walked only
+when it holds a new k or the full set; the search stops at the first
+full set.
 
 ``side_searches`` runs it on a set's generators and on their transposes,
 and every rt_k and reset threshold of the set and of its two automata comes
@@ -178,29 +181,34 @@ def subset_bfs(
     columns = [letter.transpose().rows for letter in letters]
     if n <= DISTANCE_TABLE_DIMENSION_CAP and len(columns) << n <= SUBSET_TABLE_ENTRIES_CAP:
         tables = [row_image_table(rows) for rows in columns]
-        child = lambda mask, a: tables[a][mask]
+        expand = lambda level: [table[mask] for mask in level for table in tables]
         digits = None
     else:
         mask_bytes = (n + 7) // 8
-        child = lambda mask, a: row_image(columns[a], mask)
+        expand = lambda level: [row_image(rows, mask) for mask in level for rows in columns]
         digits = lambda mask: mask.to_bytes(mask_bytes, "little")
     search = LevelSearch(
-        result, len(columns), child, digits, [(1 << q, -1) for q in range(n)], 0,
+        result, len(columns), expand, digits, [(1 << q, -1) for q in range(n)], 0,
         max_depth, max_states,
     )
     masks, krt = search.keys, result.krt
     # A preimage's letter is applied before its parent's word, so a word
     # read root first is in reverse application order.  Only a subset
     # heavier than every one before it, or the full set, has a word to
-    # record.
-    for node in search:
-        mask = masks[node]
-        if mask.bit_count() > len(krt) + 1 or mask == full:
-            word = Reach(result.depth_reached, search.word(node)[::-1])
-            note_first_reach(krt, mask.bit_count(), lambda: word)
-            if mask == full:
-                result.reset = word
-                break
+    # record, so a level is walked only when it holds one.
+    for start in search:
+        weight = max(map(int.bit_count, masks[start:]))
+        if weight <= len(krt) + 1 and weight < n:
+            continue
+        for node in range(start, len(masks)):
+            mask = masks[node]
+            if mask.bit_count() > len(krt) + 1 or mask == full:
+                word = Reach(result.depth_reached, search.word(node)[::-1])
+                note_first_reach(krt, mask.bit_count(), lambda: word)
+                if mask == full:
+                    search.stop(node)
+                    result.reset = word
+                    return result
     return result
 
 

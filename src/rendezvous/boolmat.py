@@ -21,6 +21,8 @@ freely between threads and reused as dict keys.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -49,11 +51,16 @@ def row_image(rows: tuple[int, ...], mask: int) -> int:
 def row_image_table(rows: tuple[int, ...]) -> list[int]:
     """``row_image(rows, mask)`` for every mask below 2^len(rows), indexed
     by mask, filled by doubling: the image of mask | bit j, for mask below
-    bit j, is the image of mask OR ``rows[j]``."""
-    table = [0]
+    bit j, is the image of mask OR ``rows[j]``.  The table is one int of
+    16-bit lanes, entry i in lane i, so a doubling is a few big-int
+    operations (``ones`` holds a 1 in every lane), unpacked once at the
+    end; so every row must be below 2^16, as at n <= 16."""
+    table, ones, width = 0, 1, 16
     for row in rows:
-        table += [acc | row for acc in table]
-    return table
+        table |= (table | row * ones) << width
+        ones |= ones << width
+        width <<= 1
+    return array("H", table.to_bytes(width // 8, sys.byteorder)).tolist()
 
 
 def max_column_weight(n: int, rows: tuple[int, ...]) -> int:

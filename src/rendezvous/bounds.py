@@ -371,14 +371,15 @@ def lift_bound(n: int, k: int, h: int) -> Fraction:
     return Fraction(_lift_grid(n, k)[k][h], 2)
 
 
-def _f_min(denom: int, b_values: list[int], lifts: list[int], k: int) -> tuple[Fraction, int]:
-    """min over h in [2, k] of B(n, h) + lift(n, k, h), smallest h on ties;
-    ``b_values`` and ``denom`` come from ``_b_table``, and ``lifts[h]`` is
-    the doubled lift cost from lift column k."""
+def _f_min(denom: int, b_values: list[int], lifts: list[int], k: int) -> tuple[int, int]:
+    """min over h in [2, k] of B(n, h) + lift(n, k, h), times ``denom``,
+    and the smallest h attaining it; ``b_values`` and ``denom`` come from
+    ``_b_table``, and ``lifts[h]`` is the doubled lift cost from lift
+    column k."""
     half = denom // 2
     totals = [b + lift * half for b, lift in zip(b_values, lifts[2 : k + 1])]
     best = min(totals)
-    return Fraction(best, denom), totals.index(best) + 2
+    return best, totals.index(best) + 2
 
 
 def bound_f(n: int, k: int) -> tuple[Fraction, int]:
@@ -386,7 +387,9 @@ def bound_f(n: int, k: int) -> tuple[Fraction, int]:
     lift cost from h to k.  Returns (value, achieving h); ties go to the
     smallest h.  Never exceeds bound_b_recursive(n, k)."""
     _validate_nk(n, k)
-    return _f_min(*_b_table(n, k, False), _lift_columns(n, k, k)[0], k)
+    denom, b_values = _b_table(n, k, False)
+    best, h = _f_min(denom, b_values, _lift_columns(n, k, k)[0], k)
+    return Fraction(best, denom), h
 
 
 def bound_f_table(n: int, k_max: int) -> dict[int, tuple[Fraction, int]]:
@@ -394,7 +397,11 @@ def bound_f_table(n: int, k_max: int) -> dict[int, tuple[Fraction, int]]:
     _validate_nk(n, k_max)
     lifts = _lift_grid(n, k_max)
     denom, b_values = _b_table(n, k_max, False)
-    return {k: _f_min(denom, b_values, lifts[k], k) for k in range(2, k_max + 1)}
+    table = {}
+    for k in range(2, k_max + 1):
+        best, h = _f_min(denom, b_values, lifts[k], k)
+        table[k] = Fraction(best, denom), h
+    return table
 
 
 def szykula_bound(n: int) -> Fraction:
@@ -412,13 +419,24 @@ def conjectured_equality_onset(k: int) -> int:
 
 @dataclass(frozen=True)
 class ScanCell:
-    f_value: Fraction
-    b_value: Fraction
+    """F and B of one (n, k) as integers over one denominator, and F's h."""
+
+    denom: int
+    f_scaled: int
+    b_scaled: int
     argmin_h: int
 
     @property
+    def f_value(self) -> Fraction:
+        return Fraction(self.f_scaled, self.denom)
+
+    @property
+    def b_value(self) -> Fraction:
+        return Fraction(self.b_scaled, self.denom)
+
+    @property
     def f_eq_b(self) -> bool:
-        return self.f_value == self.b_value
+        return self.f_scaled == self.b_scaled
 
 
 @dataclass
@@ -446,11 +464,11 @@ def scan_conjectures(n_values, k_values) -> ScanReport:
         usable = [k for k in ks if 2 <= k <= n]
         if not usable:
             continue
-        table = bound_f_table(n, max(usable))
-        denom, b_values = _b_table(n, max(usable), False)  # built by bound_f_table
+        lifts = _lift_grid(n, max(usable))
+        denom, b_values = _b_table(n, max(usable), False)
         for k in usable:
-            f_value, arg = table[k]
-            cells[(n, k)] = ScanCell(f_value, Fraction(b_values[k - 2], denom), arg)
+            f_scaled, arg = _f_min(denom, b_values, lifts[k], k)
+            cells[(n, k)] = ScanCell(denom, f_scaled, b_values[k - 2], arg)
     thresholds: dict[int, int | None] = {}
     for k in ks:
         scanned = [n for n in ns if (n, k) in cells]

@@ -1,19 +1,23 @@
 """Exact search of the boolean semigroup of a matrix set.
 
 ``LevelSearch`` is the one search of the workbench: it owns the stored
-keys, parent pointers and letters, the witness words, the dimension,
-depth and state limits and the exhaustion test.  Both exact searches run
-on it: ``explore`` here, the exponent search with boolean products as
-keys, and ``automata.subset_bfs``, the k-rendezvous and reset search with
-state subsets as keys.  Its one loop is a bucketed A* on the length plus
-a distance, ``met`` holding each key's shortest level; with distance 0 it
-is level-order.  At n <= 13 ``explore`` reads the distance off a table
+keys, their origins (parent and letter in one int), the witness words,
+the dimension, depth and state limits and the exhaustion test.  Both
+exact searches run on it: ``explore`` here, the exponent search with
+boolean products as keys, and ``automata.subset_bfs``, the k-rendezvous
+and reset search with state subsets as keys.  Its one loop is a bucketed
+A* on the length plus a distance, ``met`` holding each key's shortest
+level; with distance 0 it is level-order.  It stores and expands a whole
+level at a time: the caller's ``expand`` returns every child of a level
+in one list, iteration yields the first node of each level stored, and a
+caller that finds its target inside a level ends the search there with
+``stop``.  At n <= 13 ``explore`` reads the distance off a table
 over row sets (on kari it stores 7,606 products; the semigroup has
 832,573 of length up to the exponent).  The other searches are
 level-order: the subset search at n <= 13 stores every new subset of a
 level, its children read off per-letter preimage tables; past that, and
 for the exponent past n = 13, each level keeps its maximal keys, found
-with the byte-digit index ``_maximal``.  A child row is the
+with the byte-digit index ``_maximal``.  A product's child row is the
 ``row_image`` of the parent row under the generator, memoized per
 generator.
 ``note_first_reach`` is the one first-reach recorder, shared by the subset
@@ -45,9 +49,10 @@ DEFAULT_MAX_STATES = 10_000_000
 EXACT_SEARCH_DIMENSION_CAP = 64
 # The exponent search's distance table has 2^n one-byte entries; past this
 # n the search is level-order with domination, without the bound.  Every
-# call builds the table first: at n = 13 that adds about 5 ms to a search
-# the bound does not help, at n = 16 about 60 ms.  Past it the subset
-# search builds no preimage tables either.
+# call builds the table first: at n = 13 that adds about 2.5 ms to a search
+# the bound does not help, at n = 16 about 25-35 ms (one random pair,
+# 2-vCPU shared host).  Past it the subset search builds no preimage
+# tables either.
 DISTANCE_TABLE_DIMENSION_CAP = 13
 # A table entry no word reaches; reached distances are clamped below it.
 UNREACHED = 255
@@ -128,22 +133,20 @@ class _Meets(dict):
         return meet
 
 
-def _maximal(
-    candidates: list[tuple[K, int, int]], digits: Callable[[K], Sequence[int]]
-) -> list[tuple[K, int, int]]:
-    """The distinct ``(key, parent, letter)`` candidates (at least one)
-    whose key no other candidate's key dominates, in their given order.
+def _maximal(keys: list[K], digits: Callable[[K], Sequence[int]]) -> list[bool]:
+    """Which of the distinct ``keys`` (at least one) no other key dominates,
+    one flag per key.
 
-    A strict dominator has more set bits, so candidates are taken in
-    classes of equal weight, heaviest first, and each is tested only
-    against the kept candidates of heavier classes.  Slot b of digit
-    position p is a bitset over those with bit b of digit p set; a
-    candidate is dominated iff the AND of the slots of its set bits is
-    nonzero.  That AND is one table lookup per digit: per class, ``_Meets``
-    memoises the AND of a digit value's slots, valid until the class's kept
-    candidates join the slots together, once per distinct digit value.
+    A strict dominator has more set bits, so keys are taken in classes of
+    equal weight, heaviest first, and each is tested only against the kept
+    keys of heavier classes.  Slot b of digit position p is a bitset over
+    those with bit b of digit p set; a key is dominated iff the AND of the
+    slots of its set bits is nonzero.  That AND is one table lookup per
+    digit: per class, ``_Meets`` memoises the AND of a digit value's slots,
+    valid until the class's kept keys join the slots together, once per
+    distinct digit value.
     """
-    views = [digits(key) for key, _, _ in candidates]
+    views = [digits(key) for key in keys]
     weights = [sum(map(int.bit_count, view)) for view in views]
     slots = [[0] * 8 for _ in views[0]]
     keep = [False] * len(views)
@@ -168,36 +171,46 @@ def _maximal(
                 extra <<= start
                 for b in _BYTE_BITS[value]:
                     slot[b] |= extra
-    return list(itertools.compress(candidates, keep))
+    return keep
 
 
 class LevelSearch:
     """The one search over hashable keys, for products and for subsets.
 
     The roots, ``(key, letter)`` pairs with letter -1 for none, form level
-    ``depth``; a key at level d has children ``child(key, a)`` at level
-    d + 1 for letters a in 0..m-1, taken in index order.  Iterating yields
-    each stored node, roots first, reached by a shortest word; the caller
-    breaks to stop.  ``result`` records the nodes stored, the deepest level
-    stored and why the search stopped by itself: no key was left to store
-    (``exhausted``, at ``max_depth`` too when no key waits past it), or a
-    key waits past ``max_depth`` or ``max_states`` keys are stored
-    (``limit``).  ``bound`` then bounds f from below over the keys
-    not stored: the f being taken at a state cut, the least f past
-    ``max_depth`` at a depth cut, f = d + distance(key) at the key's
-    shortest length d.
+    ``depth``; a key at level d has m children at level d + 1, one per
+    letter.  ``expand(keys)`` returns the children of a list of keys, all
+    m of each key in turn, in letter order.  The search stores one level
+    at a time: a level is the entries of one bucket (f, d), see below, and
+    iterating yields the node of the first key of each level stored, after
+    the level is stored.  Node i is the i-th stored key, ``keys[i]``,
+    reached by a shortest word; its ``origins[i]`` is parent * m + letter,
+    a root's parent being -1 (so a root's origin is negative, and -m - 1
+    for one without a letter), and ``word``, ``parents`` and ``letters``
+    read the origins back.  A caller that finds its target at a node calls
+    ``stop(node)`` and breaks: the search then holds the keys, the count
+    and the word that a search yielding node by node would hold there.
+    ``result`` records the nodes stored, the deepest level stored and why
+    the search stopped by itself: no key was left to store (``exhausted``,
+    at ``max_depth`` too when no key waits past it), or a key waits past
+    ``max_depth`` or ``max_states`` keys are stored (``limit``; a level
+    that would pass the cap is stored up to it).  ``bound`` then bounds f
+    from below over the keys not stored: the f being taken at a state cut,
+    the least f past ``max_depth`` at a depth cut, f = d + distance(key)
+    at the key's shortest length d.
 
     The search is a bucketed A*; ``distance`` must be consistent
-    (distance(A) <= 1 + distance(child(A, a))), and without one it is 0,
-    so f = d and the search is level-order.  A key met at level d waits in
-    bucket f at level d, and ``met`` maps it to the shortest level it has
-    waited at: a child waits only when it beats that level.  Buckets are
-    taken in rising f, each in rising level; an entry whose key has since
-    been met shorter is skipped, the others are stored and their children
-    wait.  f never falls along a word, and a prefix of a shortest word is
-    one, so every key of f <= F is stored at its shortest length before
-    bucket F + 1 is taken.  In level order no key is met shorter once met,
-    so level d holds every key first met at length d, in discovery order.
+    (distance(A) <= 1 + distance(B) for every child B of A), and without
+    one it is 0, so f = d and the search is level-order.  A key met at
+    level d waits in bucket f at level d, and ``met`` maps it to the
+    shortest level it has waited at: a child waits only when it beats that
+    level.  Buckets are taken in rising f, each in rising level; an entry
+    whose key has since been met shorter is skipped, the others are stored
+    and their children wait.  f never falls along a word, and a prefix of
+    a shortest word is one, so every key of f <= F is stored at its
+    shortest length before bucket F + 1 is taken.  In level order no key
+    is met shorter once met, so level d holds every key first met at
+    length d, in discovery order.
 
     With ``digits`` only the maximal keys of a level are stored, and
     ``result.pruned`` counts the rest; callers pass it in level order
@@ -222,7 +235,7 @@ class LevelSearch:
         self,
         result: LevelResult,
         m: int,
-        child: Callable[[K, int], K],
+        expand: Callable[[list[K]], list[K]],
         digits: Callable[[K], Sequence[int]] | None,
         roots: Iterable[tuple[K, int]],
         depth: int,
@@ -237,7 +250,7 @@ class LevelSearch:
         self.check_limits(max_depth, max_states)
         self.result = result
         self.m = m
-        self.child = child
+        self.expand = expand
         self.digits = digits
         self.roots = roots
         self.depth = depth
@@ -245,8 +258,7 @@ class LevelSearch:
         self.max_states = DEFAULT_MAX_STATES if max_states is None else max_states
         self.distance = distance
         self.keys: list[K] = []
-        self.parents: list[int] = []
-        self.letters: list[int] = []
+        self.origins: list[int] = []
         self.met: dict[K, int] = {}
         self.bound = depth
 
@@ -257,82 +269,104 @@ class LevelSearch:
                 f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
             )
 
+    @property
+    def parents(self) -> list[int]:
+        return [origin // self.m if origin >= 0 else -1 for origin in self.origins]
+
+    @property
+    def letters(self) -> list[int]:
+        return [origin % self.m if origin >= -self.m else -1 for origin in self.origins]
+
     def word(self, node: int) -> tuple[int, ...]:
         """Letters on the path from the node's root to the node, root first."""
+        m, origins = self.m, self.origins
         out = []
-        while node >= 0 and self.letters[node] >= 0:
-            out.append(self.letters[node])
-            node = self.parents[node]
+        while node >= 0 and origins[node] >= -m:
+            node, letter = divmod(origins[node], m)
+            out.append(letter)
         return tuple(reversed(out))
 
+    def stop(self, node: int) -> None:
+        """End the search at ``node`` of the level last yielded: the nodes
+        after it are dropped, as if it were the last node stored."""
+        del self.keys[node + 1 :], self.origins[node + 1 :]
+        self.result.explored = node + 1
+
     def __iter__(self) -> Iterator[int]:
-        keys, parents, letters, met = self.keys, self.parents, self.letters, self.met
-        child, distance, digits, result = self.child, self.distance, self.digits, self.result
+        keys, origins, met = self.keys, self.origins, self.met
+        expand, distance, digits, result = self.expand, self.distance, self.digits, self.result
         m, max_depth, max_states = self.m, self.max_depth, self.max_states
-        # (f, d) -> the (key, parent, letter) entries waiting in bucket f at
-        # level d, each in the order it was met; ``order`` heaps the pairs.
-        waiting: dict[tuple[int, int], list[tuple[K, int, int]]] = {}
+        # (f, d) -> the keys waiting in bucket f at level d, in the order
+        # they were met, and their origins; ``order`` heaps the pairs.
+        waiting: dict[tuple[int, int], tuple[list[K], list[int]]] = {}
         order: list[tuple[int, int]] = []
         depth = self.depth
-        born = []
-        for key, letter in self.roots:
-            if key not in met:
-                met[key] = depth
-                born.append((key, -1, letter))
+        # The (origin, key) pairs met at ``depth``.
+        candidates: Iterable[tuple[int, K]] = [(letter - m, key) for key, letter in self.roots]
         while True:
-            # The entries born at ``depth`` wait, each in its bucket f.
-            groups = {depth: born}
-            if distance is not None:
-                groups = {}
-                for entry in born:
-                    groups.setdefault(depth + distance(entry[0]), []).append(entry)
-            for f, group in groups.items():
-                pair = (f, depth)
-                if pair in waiting:
-                    waiting[pair] += group
-                elif group:
-                    waiting[pair] = group
-                    heapq.heappush(order, pair)
+            if distance is None:
+                # Level order: a key met once is never met shorter.
+                level: list[K] = []
+                level_origins: list[int] = []
+                for origin, key in candidates:
+                    if key not in met:
+                        met[key] = depth
+                        level.append(key)
+                        level_origins.append(origin)
+                if level:
+                    waiting[depth, depth] = level, level_origins
+                    heapq.heappush(order, (depth, depth))
+            else:
+                later = depth + 1
+                for origin, key in candidates:
+                    if met.get(key, later) > depth:
+                        met[key] = depth
+                        pair = (depth + distance(key), depth)
+                        bucket = waiting.get(pair)
+                        if bucket is None:
+                            bucket = waiting[pair] = [], []
+                            heapq.heappush(order, pair)
+                        bucket[0].append(key)
+                        bucket[1].append(origin)
             if not order or order[0][0] > max_depth:
                 break
             f, depth = heapq.heappop(order)
             self.bound = f
-            level = waiting.pop((f, depth))
-            born = []
+            level, level_origins = waiting.pop((f, depth))
             if distance is not None:
                 # Skip the entries whose keys were met shorter since;
                 # without a distance no key is.
-                level = [entry for entry in level if met[entry[0]] == depth]
-                if not level:
-                    continue
+                live = [met[key] == depth for key in level]
+                if not all(live):
+                    level = list(itertools.compress(level, live))
+                    if not level:
+                        candidates = ()
+                        continue
+                    level_origins = list(itertools.compress(level_origins, live))
             if digits is not None:
-                survivors = _maximal(level, digits)
+                keep = _maximal(level, digits)
+                survivors = list(itertools.compress(level, keep))
                 result.pruned += len(level) - len(survivors)
                 level = survivors
+                level_origins = list(itertools.compress(level_origins, keep))
             start = len(keys)
             if depth > result.depth_reached:
                 result.depth_reached = depth
-            for key, parent, letter in level:
-                node = len(keys)
-                keys.append(key)
-                parents.append(parent)
-                letters.append(letter)
-                result.explored = node + 1
-                yield node
-                if result.explored >= max_states:
-                    result.limit = "states"
-                    return
+            capped = len(level) >= max_states - start
+            if capped:
+                del level[max_states - start :], level_origins[max_states - start :]
+            keys += level
+            origins += level_origins
+            result.explored = len(keys)
+            yield start
+            if capped:
+                result.limit = "states"
+                return
+            candidates = enumerate(expand(level), start * m)
             depth += 1
-            for parent in range(start, len(keys)):
-                key = keys[parent]
-                for letter in range(m):
-                    fresh = child(key, letter)
-                    if fresh not in met or (distance is not None and met[fresh] > depth):
-                        met[fresh] = depth
-                        born.append((fresh, parent, letter))
         # Every entry left waits past max_depth; the least f of one whose key
         # was not met shorter since bounds the target's.
-        cut = [f for (f, d), level in waiting.items() if any(met[key] == d for key, _, _ in level)]
+        cut = [f for (f, d), (level, _) in waiting.items() if any(met[key] == d for key in level)]
         if cut:
             result.limit = "depth"
             self.bound = min(cut)
@@ -437,7 +471,7 @@ def explore(
     search = LevelSearch(
         result,
         mset.m,
-        lambda key, g: tuple(map(images[g], key)),
+        lambda level: [tuple(map(image, key)) for key in level for image in images],
         digits,
         [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)],
         1,
@@ -446,8 +480,10 @@ def explore(
         distance,
     )
     keys = search.keys
-    for node in search:
-        if keys[node] == ones:
+    for start in search:
+        if ones in keys[start:]:
+            node = keys.index(ones, start)
+            search.stop(node)
             word = search.word(node)
             result.exponent = Reach(len(word), word)
             result.lower_bound = len(word)

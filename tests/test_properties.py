@@ -1,5 +1,6 @@
 """Property tests, mostly for n in [1, 5]: the weight kernel (up to n = 130,
-past one machine word) and the row-image kernel, the one search behind
+past one machine word) and the row-image kernel and its 16-bit lane
+table (n up to 16), the one search behind
 ``explore`` and ``subset_bfs`` (its stored levels are the maximal levels
 of a pairwise oracle, its level order is its A* with distance 0, and on a
 consistent distance it stores the keys of a breadth-first oracle within
@@ -49,7 +50,7 @@ from rendezvous import (
 )
 from rendezvous.cli import _not_found, main
 from rendezvous.pairgraph import pair_vertices
-from rendezvous.boolmat import max_column_weight, row_image
+from rendezvous.boolmat import max_column_weight, row_image, row_image_table
 from rendezvous.bounds import _LIFT_GRIDS, _lift_columns, _lift_grid
 from rendezvous.semigroup import (
     DISTANCE_TABLE_DIMENSION_CAP,
@@ -197,6 +198,19 @@ def test_row_image_matches_entry_oracle(mat, mask):
         any((mask >> s) & 1 and mat.entry(s, j) for s in range(mat.n)) for j in range(mat.n)
     ]
     assert row_image(mat.rows, mask) == sum(1 << j for j, e in enumerate(entries) if e)
+
+
+@settings(PROPERTY, max_examples=8)
+@pytest.mark.parametrize("n", [*range(14), 16])
+@given(data=st.data())
+def test_row_image_table_matches_row_image_on_every_mask(n, data):
+    # The table packs each entry in a 16-bit lane: rows holding the top bit
+    # of the lane's width and all-ones rows pin the lane width and show any
+    # carry from one lane into the next.
+    ones = (1 << n) - 1
+    row = st.integers(0, ones).map(lambda r: r | 1 << n >> 1) | st.just(ones)
+    rows = tuple(data.draw(st.lists(row, min_size=n, max_size=n)))
+    assert row_image_table(rows) == [row_image(rows, mask) for mask in range(1 << n)]
 
 
 @PROPERTY
@@ -413,13 +427,22 @@ def level_searches(draw):
 
 
 def run_level_search(case, depth, max_depth, max_states, digits, distance):
-    """A ``LevelSearch`` over the subsets of ``case``, iterated to its end."""
+    """A ``LevelSearch`` over the subsets of ``case``, iterated to its end.
+    Each yield is the first node of a level: where the level before it
+    ended, and every key stored from there on lies as many letters below
+    its root."""
     n, letters, roots = case
     search = LevelSearch(
-        LevelResult(n=n), len(letters), lambda mask, a: row_image(letters[a].rows, mask),
+        LevelResult(n=n), len(letters),
+        lambda level: [row_image(g.rows, mask) for mask in level for g in letters],
         digits, roots, depth, max_depth, max_states, distance,
     )
-    assert all(node == len(search.keys) - 1 for node in search)
+    steps = []
+    for start in search:
+        assert start == len(steps) < len(search.keys)
+        steps += [0 if parent < 0 else steps[parent] + 1 for parent in search.parents[start:]]
+        assert len(set(steps[start:])) == 1
+    assert len(steps) == len(search.keys)
     return search
 
 
@@ -517,12 +540,19 @@ def first_reaches(levels) -> dict[int, int]:
     return out
 
 
+# Letter a maps states 0, 1 to 0 and 2 to 1, letter b is the cycle
+# 0 -> 1 -> 2 -> 0; the full set is the second-to-last preimage of length 2.
+STOP_INSIDE = Automaton(3, (BoolMatrix(3, (1, 1, 2)), BoolMatrix(3, (2, 4, 1))), ("a", "b"))
+
+
 @PROPERTY
 @given(automata())
+@example(STOP_INSIDE)
 def test_subset_bfs_levels_are_the_maximal_levels_of_the_oracle(aut):
     # Up to 5 states and 3 letters the search is tabulated: it stores every
     # preimage at its shortest length, prunes none, and so holds k or more
-    # states first at the level where the maximal-levels oracle does.
+    # states first at the level where the maximal-levels oracle does.  A
+    # reset ends the search at the first full set, whose word it is.
     with recorded_searches() as searches:
         result = subset_bfs(aut.n, aut.letters)
     (search,) = searches
@@ -532,6 +562,24 @@ def test_subset_bfs_levels_are_the_maximal_levels_of_the_oracle(aut):
         levels, plain_subset_levels(aut.n, aut.letters), result.reset is not None)
     oracle, _ = subset_levels(aut.n, aut.letters)
     assert first_reaches(levels) == first_reaches(oracle)
+    assert len(search.keys) == result.explored
+    if result.reset is not None:
+        node = search.keys.index((1 << aut.n) - 1)
+        assert node == result.explored - 1
+        assert search.word(node)[::-1] == result.reset.word
+
+
+def test_subset_bfs_stops_inside_the_reset_level():
+    # The whole level of length 2 is stored before it is read; the stop
+    # keeps it only up to the full set, so one stored preimage is dropped.
+    with recorded_searches() as searches:
+        result = subset_bfs(STOP_INSIDE.n, STOP_INSIDE.letters)
+    (search,) = searches
+    levels = plain_subset_levels(STOP_INSIDE.n, STOP_INSIDE.letters)
+    assert result.reset.length == 2
+    assert sum(map(len, levels[:2])) < result.explored < sum(map(len, levels[:3]))
+    assert search.keys[-1] == 0b111 and len(search.keys) == result.explored
+    assert search.word(result.explored - 1) == result.reset.word[::-1] == (0, 0)
 
 
 def assert_levels_match(levels, oracle, stopped_at_target):
@@ -626,9 +674,8 @@ def index_cases(draw):
 @given(index_cases())
 def test_maximal_keeps_the_oracle_maximal_keys_in_order(case):
     digits, keys = case
-    candidates = [(key, c, 0) for c, key in enumerate(keys)]
     expected = maximal(keys)
-    assert _maximal(candidates, digits) == [cand for cand in candidates if cand[0] in expected]
+    assert _maximal(keys, digits) == [key in expected for key in keys]
 
 
 @PROPERTY
