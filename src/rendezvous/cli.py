@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "exponent",
-        help="exact exponent by a bounded A* over the semigroup (a level search past n = 13)",
+        help="exact exponent by a bounded A* over the semigroup",
     )
     _add_set_source(p)
     _add_limits(p)

@@ -11,14 +11,14 @@ level; with distance 0 it is level-order.  It stores and expands a whole
 level at a time: the caller's ``expand`` returns every child of a level
 in one list, iteration yields the first node of each level stored, and a
 caller that finds its target inside a level ends the search there with
-``stop``.  At n <= 13 ``explore`` reads the distance off a table
-over row sets (on kari it stores 7,606 products; the semigroup has
-832,573 of length up to the exponent).  The other searches are
-level-order: the subset search at n <= 13 stores every new subset of a
-level, its children read off per-letter preimage tables; past that, and
-for the exponent past n = 13, each level keeps its maximal keys, found
-with the byte-digit index ``_maximal``.  A product's child row is the
-``row_image`` of the parent row under the generator, memoized per
+``stop``.  ``explore`` is the A* at every n, its distance a table over
+row sets at n <= 13 (on kari it stores 7,606 products; the semigroup has
+832,573 of length up to the exponent) and a spread in the union digraph,
+filled on demand, past it.  The subset search is level-order: at
+n <= 13 it stores every new subset of a level, its children read off
+per-letter preimage tables; past that each level keeps its maximal keys,
+found with the byte-digit index ``_maximal``.  A product's child row is
+the ``row_image`` of the parent row under the generator, memoized per
 generator.
 ``note_first_reach`` is the one first-reach recorder, shared by the subset
 search and the heuristic.  Keys are collected in discovery order with
@@ -48,13 +48,13 @@ DEFAULT_MAX_STATES = 10_000_000
 # millions of keys at about 210 B per stored subset.
 EXACT_SEARCH_DIMENSION_CAP = 64
 # The exponent search's distance table has 2^n one-byte entries; past this
-# n the search is level-order with domination, without the bound.  Every
-# call builds the table first: at n = 13 that adds about 2.5 ms to a search
-# the bound does not help, at n = 16 about 25-35 ms (one random pair,
-# 2-vCPU shared host).  Past it the subset search builds no preimage
-# tables either.
+# n the search reads the table-free ``SubsetSpread`` instead.  Every call
+# up to it builds the table first: at n = 13 that adds about 2.5 ms to a
+# search the bound does not help, at n = 16 about 25-35 ms (one random
+# pair, 2-vCPU shared host).  Past it the subset search builds no
+# preimage tables either.
 DISTANCE_TABLE_DIMENSION_CAP = 13
-# A table entry no word reaches; reached distances are clamped below it.
+# A distance no word reaches; reached distances are clamped below it.
 UNREACHED = 255
 
 
@@ -215,14 +215,13 @@ class LevelSearch:
     With ``digits`` only the maximal keys of a level are stored, and
     ``result.pruned`` counts the rest; callers pass it in level order
     only.  ``digits(key)`` views a key as byte-sized digits, as many for
-    every key (a product's rows cut into bytes; a subset's mask bytes); A
-    is dominated by B when every set bit of A's digits is set in B's.
-    This is exact for every monotone target (the all-ones matrix, a subset
-    of size k, the full subset): A <= B gives AW <= BW for every word W,
-    so by induction on d every key of length d lies below a stored key of
-    length <= d (the same letter's child of the key above its parent is a
-    root or a met key of a level <= d, and lies below a stored one), and
-    the top key dominates every other one.
+    every key (a subset's mask bytes); A is dominated by B when every set
+    bit of A's digits is set in B's.  This is exact for every monotone
+    target (a subset of size k, the full subset): A <= B gives AW <= BW
+    for every word W, so by induction on d every key of length d lies
+    below a stored key of length <= d (the same letter's child of the key
+    above its parent is a root or a met key of a level <= d, and lies
+    below a stored one), and the top key dominates every other one.
 
     Every exact search obeys the limits set here before any key is stored:
     ``result.n`` at most ``EXACT_SEARCH_DIMENSION_CAP`` (else
@@ -243,11 +242,7 @@ class LevelSearch:
         max_states: int | None,
         distance: Callable[[K], int] | None = None,
     ):
-        if result.n > EXACT_SEARCH_DIMENSION_CAP:
-            raise DimensionError(
-                f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {result.n}"
-            )
-        self.check_limits(max_depth, max_states)
+        self.check_limits(result.n, max_depth, max_states)
         self.result = result
         self.m = m
         self.expand = expand
@@ -263,7 +258,11 @@ class LevelSearch:
         self.bound = depth
 
     @staticmethod
-    def check_limits(max_depth: int | None, max_states: int | None) -> None:
+    def check_limits(n: int, max_depth: int | None, max_states: int | None) -> None:
+        if n > EXACT_SEARCH_DIMENSION_CAP:
+            raise DimensionError(
+                f"exact search supports n <= {EXACT_SEARCH_DIMENSION_CAP}, got {n}"
+            )
         if any(limit is not None and limit < 1 for limit in (max_depth, max_states)):
             raise ValueError(
                 f"need max_depth >= 1 and max_states >= 1, got {max_depth} and {max_states}"
@@ -384,21 +383,40 @@ def witness_replay(mset: MatrixSet, word: tuple[int, ...] | list[int]) -> BoolMa
     return out
 
 
-def subset_distances(mset: MatrixSet) -> bytearray | None:
-    """delta(S) for every row set S, indexed by its mask: the length of the
-    shortest word whose forward image of S is every state, the image of S
-    under a generator g being ``row_image(g.rows, S)``.
+class SubsetSpread(dict):
+    """Row set mask S -> the least L whose L-step ball around S in the
+    union digraph (s -> t when some generator has entry (s, t)) holds every
+    state, filled on demand; ``UNREACHED`` where the ball stops short.  A
+    word of length L takes S within L steps of it, so this is at most
+    delta(S), and each state of S's image under a generator has a
+    predecessor in S, so it is consistent."""
 
-    One backward breadth-first search from the full set over all 2^n
-    subsets, its preimage lists read off each generator's
-    ``row_image_table``.  Distances are clamped to
-    ``UNREACHED - 1``, which keeps them antimonotone and consistent;
-    ``UNREACHED`` marks a set no word takes to every state (always the
-    empty one).  None past ``DISTANCE_TABLE_DIMENSION_CAP``.
+    def __init__(self, mset: MatrixSet):
+        super().__init__({(1 << mset.n) - 1: 0})
+        # A loop at every state makes a ball's image the next ball.
+        self.rows = tuple(row | 1 << i for i, row in enumerate(mset.union_rows()))
+
+    def __missing__(self, subset: int) -> int:
+        ball = row_image(self.rows, subset)
+        spread = UNREACHED if ball == subset else min(self[ball] + 1, UNREACHED)
+        self[subset] = spread
+        return spread
+
+
+def subset_distances(mset: MatrixSet) -> bytearray | SubsetSpread:
+    """A consistent, antimonotone lower bound on delta(S) for every row set
+    S, indexed by its mask: delta(S) is the length of the shortest word
+    whose forward image of S (under g, ``row_image(g.rows, S)``) is every
+    state, ``UNREACHED`` where no word does (always the empty set).
+
+    Up to ``DISTANCE_TABLE_DIMENSION_CAP`` it is delta itself, clamped to
+    ``UNREACHED - 1``: one backward breadth-first search from the full set
+    over all 2^n subsets, its preimage lists read off each generator's
+    ``row_image_table``.  Past the cap it is the ``SubsetSpread``.
     """
     n = mset.n
     if n > DISTANCE_TABLE_DIMENSION_CAP:
-        return None
+        return SubsetSpread(mset)
     full = (1 << n) - 1
     preimages: list[list[int]] = [[] for _ in range(full + 1)]
     for g in mset.generators:
@@ -427,57 +445,51 @@ def explore(
 
     Row i of P*W is the forward image of row i of P under W, so a product P
     of length d reaches the all-ones matrix no sooner than d + h(P), with
-    h(P) = max_i delta(row i of P) read off ``subset_distances``.  h is
+    h(P) the largest ``subset_distances`` entry of a row of P.  h is
     consistent (h(P) <= 1 + h(P*g)), so ``LevelSearch`` with this
     ``distance`` stores every product P with d(P) + h(P) <= E at its
     shortest length d(P), E being the exponent, in rising d + h; the
     all-ones matrix (h = 0) is the last of them.  ``explored`` is their
     count once the exponent is found, and a ``max_states`` below it finds
-    no exponent.  Past the table cap the search is the level-order one
-    with domination, up to ``max_depth`` (default ``default_max_depth(n)``).
-    At n <= 13 some delta({i}) is unreached exactly on a set that is not
-    primitive, which is then ``exhausted`` at once: no search runs, and
-    the exponent stays None.
+    no exponent.  ``max_depth`` defaults to ``default_max_depth(n)``.  A
+    set with a singleton row set at ``UNREACHED`` is not primitive (at
+    n <= 13 that is exactly the sets that are not, past it the reducible
+    ones), and is ``exhausted`` at once: no search runs, and the exponent
+    stays None.
 
     Stops as soon as the all-ones matrix appears, or when a limit is hit;
     the result is then flagged partial via ``limit``.  ``lower_bound`` is
-    what the search proved: at least L = max(1, max_i delta({i})), the
-    bucket cut by the state cap, the least d + h cut by the depth limit
-    (``max_depth`` + 1 past the table cap), the exponent once found.
+    what the search proved: at least L = max(1, max_i h({i})), the bucket
+    cut by the state cap, the least d + h cut by the depth limit, the
+    exponent once found.
     """
     mset.require_nz()
     n = mset.n
     if max_depth is None:
         max_depth = default_max_depth(n)
-    LevelSearch.check_limits(max_depth, max_states)
+    LevelSearch.check_limits(n, max_depth, max_states)
     result = SearchResult(n=n)
     dist = subset_distances(mset)
-    distance = digits = None
-    if dist is not None:
-        singles = [dist[1 << i] for i in range(n)]
-        if UNREACHED in singles:
-            result.exhausted = True
-            result.lower_bound = max_depth + 1
-            return result
-        distance = lambda key: max(map(dist.__getitem__, key))
-        # Every product has length at least 1, even at n = 1 where
-        # delta({0}) = 0.
-        result.lower_bound = max(1, *singles)
-    else:
-        row_bytes = (n + 7) // 8
-        digits = lambda key: b"".join([row.to_bytes(row_bytes, "little") for row in key])
+    singles = [dist[1 << i] for i in range(n)]
+    if UNREACHED in singles:
+        result.exhausted = True
+        result.lower_bound = max_depth + 1
+        return result
+    # Every product has length at least 1, even at n = 1 where
+    # h({0}) = 0.
+    result.lower_bound = max(1, *singles)
     ones = ((1 << n) - 1,) * n
     images = [functools.cache(functools.partial(row_image, g.rows)) for g in mset.generators]
     search = LevelSearch(
         result,
         mset.m,
         lambda level: [tuple(map(image, key)) for key in level for image in images],
-        digits,
+        None,
         [(g.rows, g_idx) for g_idx, g in enumerate(mset.generators)],
         1,
         max_depth,
         max_states,
-        distance,
+        lambda key: max(map(dist.__getitem__, key)),
     )
     keys = search.keys
     for start in search:

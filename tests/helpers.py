@@ -110,16 +110,17 @@ def row_tuple_product(rows: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, .
 
 
 def semigroup_closure(
-    mset: MatrixSet, cap: int = 500_000, bound: int | None = None
+    mset: MatrixSet, cap: int = 500_000, bound: int | None = None, h=None
 ) -> dict[tuple[int, ...], int]:
     """Full forward closure of the generated semigroup: each product, as a
     row-tuple key, with the length d of its shortest word.  With ``bound``
-    U, only the products with d + h <= U, h being ``product_distance``: h
-    drops by at most one per letter, so every prefix of a shortest word of
-    such a product is one too, and the breadth-first search that drops the
-    others still meets each at its shortest length."""
+    U, only the products with d + h <= U, h being ``product_distance``
+    unless given: h drops by at most one per letter, so every prefix of a
+    shortest word of such a product is one too, and the breadth-first
+    search that drops the others still meets each at its shortest
+    length."""
     gens = [g.rows for g in mset.generators]
-    h = product_distance(mset)
+    h = h or product_distance(mset)
     within = lambda rows, length: bound is None or (
         h(rows) is not None and length + h(rows) <= bound)
     seen = {rows: 1 for rows in gens if within(rows, 1)}
@@ -213,18 +214,51 @@ def subset_distance(mset: MatrixSet, subset: int) -> int | None:
     return None
 
 
-def product_distance(mset: MatrixSet):
-    """h(P) = max over the rows of P of ``subset_distance``, for row-tuple
-    products P: a lower bound on how many more letters P needs to become the
-    all-ones matrix; None where some row reaches every state by no word.
-    Row distances are cached per call."""
+def union_spread(mset: MatrixSet):
+    """The spread of a row set S (a mask) in the union digraph, which has
+    an edge s -> t when some generator has entry (s, t): the largest, over
+    the states t, of the least distance d(s, t) over s in S, d read off one
+    breadth-first search per state, entry by entry; None when some state
+    lies at no distance from S."""
+    n = mset.n
+    rows = entry_rows(mset)
+    dist = []
+    for source in range(n):
+        reach = {source: 0}
+        queue = deque([source])
+        while queue:
+            s = queue.popleft()
+            for t in range(n):
+                if t not in reach and any((g_rows[s] >> t) & 1 for g_rows in rows):
+                    reach[t] = reach[s] + 1
+                    queue.append(t)
+        dist.append(reach)
+
+    def spread(subset):
+        worst = 0
+        for t in range(n):
+            near = [dist[s][t] for s in range(n) if (subset >> s) & 1 and t in dist[s]]
+            if not near:
+                return None
+            worst = max(worst, min(near))
+        return worst
+
+    return spread
+
+
+def product_distance(mset: MatrixSet, row_distance=None):
+    """h(P) = max over the rows of P of ``row_distance`` (by default
+    ``subset_distance``), for row-tuple products P: a lower bound on how
+    many more letters P needs to become the all-ones matrix; None where
+    some row's distance is None.  Row distances are cached per call."""
+    row_distance = row_distance or functools.partial(subset_distance, mset)
     cache: dict[int, int | None] = {}
 
     def h(rows):
         worst = 0
         for row in rows:
             if row not in cache:
-                cache[row] = subset_distance(mset, row)
+                cache[row] = row_distance(row)
             if cache[row] is None:
                 return None
             worst = max(worst, cache[row])
@@ -244,10 +278,10 @@ def product_levels(
     )
 
 
-def exponent_search(mset: MatrixSet, max_depth: int):
+def exponent_search(mset: MatrixSet, max_depth: int, h=None):
     """What ``explore``'s bounded search on a primitive set stores under
     ``max_depth`` D, as ``(stored, exponent, cut)``, with f(P) = d(P) + h(P)
-    for d the shortest length and h ``product_distance``.
+    for d the shortest length and h ``product_distance`` unless given.
 
     ``exponent`` is E when E <= D, else None: the least bound U whose
     ``semigroup_closure`` holds the all-ones matrix.  ``stored`` maps every
@@ -259,9 +293,9 @@ def exponent_search(mset: MatrixSet, max_depth: int):
     product is not stored, and 1 + h(g) over the generators not stored.
     """
     ones = ((1 << mset.n) - 1,) * mset.n
-    h = product_distance(mset)
+    h = h or product_distance(mset)
     for bound in range(1, max_depth + 1):
-        stored = semigroup_closure(mset, bound=bound)
+        stored = semigroup_closure(mset, bound=bound, h=h)
         if ones in stored:
             return stored, bound, None
     gens = [g.rows for g in mset.generators]

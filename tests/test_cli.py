@@ -407,6 +407,8 @@ SWAP = str(DATA / "swap.set")  # a permutation: no automaton search ever resets 
 LOWER = str(DATA / "lower.set")
 # One generator whose state 2 has an edge to itself only: a reducible set.
 REDUCIBLE3 = str(DATA / "reducible3.set")
+# Two 8-cycles joined by one edge: a reducible set past the distance table.
+REDUCIBLE16 = str(DATA / "reducible16.set")
 # One generator a = I + P at n = 13, P the cyclic shift: rows of weight 2, so
 # 2^13 = 8,192 raw letters on each side, and rt_k = k - 1 for every k.
 HEAVY = str(DATA / "heavy13.set")
@@ -551,6 +553,12 @@ def shift_automaton_text(title: str, label: str, step: int, n: int = 13) -> str:
         (("exponent", "--file", SWAP), 0,
          "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
         (("exponent", "--file", LOWER), 0,
+         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
+        # Past the table the spread of some singleton never covers every
+        # state exactly on a reducible set, which stores nothing either.
+        (("exponent", "--file", REDUCIBLE16), 0,
+         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
+        (("exponent", "--file", REDUCIBLE16, "--max-depth", "5"), 0,
          "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
         # A depth cut whose next level holds no new subset is an exhaustion,
         # not a limit: the transpose side stores its last subset at length 2.

@@ -4,13 +4,15 @@ table (n up to 16), the one search behind
 ``explore`` and ``subset_bfs`` (its stored levels are the maximal levels
 of a pairwise oracle, its level order is its A* with distance 0, and on a
 consistent distance it stores the keys of a breadth-first oracle within
-the depth cut), the set profile and the sandwich
+the depth cut, on the distance table and past it on the union-digraph
+spread), the set profile and the sandwich
 built on them, the pair-digraph BFS and the primitivity certificate (n up
 to 9), primitivity decided by the BFS to one singleton, the heuristic's
 per-k prefix lengths (n up to 8, transposes included), the set-file round
 trip, the B and lift tables and the escape count (n up to 10), against
 the independent oracles in ``helpers``."""
 
+import functools
 import io
 import random
 import tempfile
@@ -57,6 +59,7 @@ from rendezvous.semigroup import (
     UNREACHED,
     LevelResult,
     LevelSearch,
+    SubsetSpread,
     _maximal,
     subset_distances,
 )
@@ -83,6 +86,7 @@ from helpers import (
     subset_distance,
     subset_levels,
     undeduplicated_profile,
+    union_spread,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -245,6 +249,26 @@ def test_distance_table_matches_the_forward_oracle(mset):
 
 
 @PROPERTY
+@given(nz_sets(max_n=6))
+def test_spread_matches_the_union_digraph_oracle(mset):
+    n = mset.n
+    spread = SubsetSpread(mset)
+    table = subset_distances(mset)
+    oracle = map(union_spread(mset), range(1 << n))
+    assert [spread[s] for s in range(1 << n)] == [UNREACHED if d is None else d for d in oracle]
+    # Some singleton never spreads to every state exactly on a reducible set.
+    singles = [spread[1 << i] for i in range(n)]
+    assert (UNREACHED in singles) == (mset.reducibility_witness() is not None)
+    gens = [g.rows for g in mset.generators]
+    for s in range(1 << n):
+        # Admissible: no word takes a set to every state in fewer steps.
+        assert spread[s] <= table[s]
+        # Antimonotone and consistent, as the table is.
+        assert all(spread[s | t] <= spread[s] for t in range(1 << n))
+        assert all(spread[s] <= 1 + spread[row_tuple_product((s,), g)[0]] for g in gens)
+
+
+@PROPERTY
 @given(nz_sets(), st.integers(1, 4))
 def test_set_profile_matches_unpruned_oracle_and_replays(mset, depth):
     oracle, _ = undeduplicated_profile(mset, max_depth=depth)
@@ -368,13 +392,19 @@ def test_explore_stores_a_dominating_part_of_the_closure(mset):
 
 
 def assert_search_matches_the_oracle(mset, searches, result, max_depth):
-    """At n <= 13 ``explore`` starts one search, a bucketed A*, on a
-    primitive set and none on another, and it stores what
+    """``explore`` starts one search, a bucketed A*, when every singleton
+    row set has a distance and none otherwise, and it stores what
     ``helpers.exponent_search`` says: every product P with d(P) + h(P)
     within the exponent, or within ``max_depth`` when the exponent lies
     past it, at its shortest length d(P), in rising d + h, with no key
-    pruned.  A depth cut proves the least d + h past ``max_depth``."""
-    singles = [subset_distance(mset, 1 << i) for i in range(mset.n)]
+    pruned, h read off the forward subset distance up to the table cap
+    and off the union-digraph spread past it.  A depth cut proves the
+    least d + h past ``max_depth``."""
+    if mset.n <= DISTANCE_TABLE_DIMENSION_CAP:
+        row_distance = functools.partial(subset_distance, mset)
+    else:
+        row_distance = union_spread(mset)
+    singles = [row_distance(1 << i) for i in range(mset.n)]
     if None in singles:
         assert searches == []
         assert (result.exhausted, result.limit, result.exponent) == (True, None, None)
@@ -382,10 +412,10 @@ def assert_search_matches_the_oracle(mset, searches, result, max_depth):
         return
     (search,) = searches
     assert search.distance is not None and search.max_depth == max_depth
-    stored, exponent, cut = exponent_search(mset, max_depth)
+    h = product_distance(mset, row_distance)
+    stored, exponent, cut = exponent_search(mset, max_depth, h)
     lengths = stored_lengths(search)
     assert lengths == stored and len(search.keys) == len(stored)
-    h = product_distance(mset)
     f = [lengths[rows] + h(rows) for rows in search.keys]
     assert f == sorted(f)
     assert (result.explored, result.pruned) == (len(stored), 0)
@@ -605,19 +635,17 @@ def test_explore_levels_past_one_byte_match_the_oracle(mset, extra):
     assert_search_matches_the_oracle(mset, searches, result, depth)
 
 
-# Past the distance table's cap the search is level-order, with domination.
+# Past the distance table's cap the search is the same A*, on the spread
+# in the union digraph; the depth limit lies a few steps past L.
 @settings(PROPERTY, max_examples=30)
 @given(thin_nz_sets(DISTANCE_TABLE_DIMENSION_CAP + 1, 20), st.integers(1, 4))
-def test_explore_levels_past_the_table_cap_match_the_oracle(mset, depth):
+def test_explore_levels_past_the_table_cap_match_the_oracle(mset, extra):
+    spread = union_spread(mset)
+    singles = [d for d in map(spread, (1 << i for i in range(mset.n))) if d is not None]
+    depth = max(singles, default=0) + extra
     with recorded_searches() as searches:
         result = explore(mset, max_depth=depth)
-    (search,) = searches
-    assert search.distance is None and search.max_depth == depth
-    oracle, met = product_levels(mset, depth)
-    assert_levels_match(stored_levels(search), oracle, result.exponent is not None)
-    if result.exponent is None:
-        assert result.limit == "depth" and result.pruned == met - result.explored
-        assert result.lower_bound == depth + 1
+    assert_search_matches_the_oracle(mset, searches, result, depth)
 
 
 # Up to 3 letters the search is tabulated at n <= 13 and stores the plain
