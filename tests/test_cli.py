@@ -554,12 +554,6 @@ def shift_automaton_text(title: str, label: str, step: int, n: int = 13) -> str:
          "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
         (("exponent", "--file", LOWER), 0,
          "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
-        # Past the table the spread of some singleton never covers every
-        # state exactly on a reducible set, which stores nothing either.
-        (("exponent", "--file", REDUCIBLE16), 0,
-         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
-        (("exponent", "--file", REDUCIBLE16, "--max-depth", "5"), 0,
-         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
         # A depth cut whose next level holds no new subset is an exhaustion,
         # not a limit: the transpose side stores its last subset at length 2.
         (("automata", "rt", "--file", REDUCIBLE3, "--max-depth", "2"), 0,
@@ -567,6 +561,12 @@ def shift_automaton_text(title: str, label: str, step: int, n: int = 13) -> str:
         (("automata", "krt", "--file", REDUCIBLE3, "--max-depth", "2"), 1, "",
          "not-primitive: automaton rt_3 not reached: the search exhausted, "
          "so the set is not primitive\n"),
+        # Past the table the spread of some singleton never covers every
+        # state exactly on a reducible set, which stores nothing either.
+        (("exponent", "--file", REDUCIBLE16), 0,
+         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
+        (("exponent", "--file", REDUCIBLE16, "--max-depth", "5"), 0,
+         "not-found (semigroup exhausted; explored=0, depth=0)\n", ""),
     ],
 )
 def test_bad_or_edge_input_answers_or_fails_in_one_line(capsys, argv, code, out, err):
